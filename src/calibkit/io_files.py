@@ -107,13 +107,16 @@ def read_logits(path: str | Path) -> Dataset:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
         if not 0 <= label < c:
             raise DataFormatError(f"{path}: line {lineno}: label {label} out of range for {c} classes")
-        if not all(np.isfinite(row)):
-            raise DataFormatError(f"{path}: line {lineno}: non-finite logit")
         labels.append(label)
         logits.append(row)
     if not labels:
         raise DataFormatError(f"{path}: no data rows")
-    return Dataset(labels=np.array(labels, dtype=np.int64), logits=np.array(logits))
+    values = np.array(logits)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        data_linenos = [lineno for lineno, line in enumerate(lines[1:], start=2) if line]
+        raise DataFormatError(f"{path}: line {data_linenos[bad[0]]}: non-finite logit")
+    return Dataset(labels=np.array(labels, dtype=np.int64), logits=values)
 
 
 def _step_to_dict(s: StepFunction) -> dict:

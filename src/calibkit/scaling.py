@@ -13,7 +13,15 @@ from scipy.special import expit
 from .core import Dataset, Predictions, softmax, sorted_topk_matrix
 from .errors import NumericalError
 from .metrics import PROB_FLOOR
-from .tinynn import MlpParams, adam_init, adam_step, backward_batch, forward_batch, init_mlp
+from .tinynn import (
+    MlpParams,
+    adam_init,
+    adam_step,
+    backward_batch,
+    forward_batch,
+    init_mlp,
+    zeros_like_params,
+)
 
 T_MIN = 1e-2
 LOG_T_RANGE = (math.log(1e-2), math.log(1e2))
@@ -272,26 +280,42 @@ def apply_pts(logits: np.ndarray, model: PtsModel) -> np.ndarray:
 
 
 def _pts_q_batch(mlp: MlpParams, zs: np.ndarray, z: np.ndarray, pred: np.ndarray, t_min: float):
-    """Calibrated confidences Q for a batch plus everything backward needs."""
+    """Calibrated confidences Q for a batch plus everything backward needs.
+
+    zs[:, 0] is each row's largest logit, so for T > 0 the row max of z/T is
+    zs[:, 0] / T exactly and softmax(z/T) needs no max reduction. A non-finite
+    z/T (logits near the float range with T < 1) gives NaN, never an error;
+    callers check the loss.
+    """
     raw, cache = forward_batch(mlp, zs)
     t = t_min + softplus(raw)
-    probs = softmax(z / t[:, None])
-    rows = np.arange(z.shape[0])
-    q = probs[rows, pred]
-    return q, (raw, cache, t, probs)
+    probs = z / t[:, None]
+    probs -= (zs[:, 0] / t)[:, None]
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    q = probs.ravel().take(_flat_index(z, pred))
+    return q, (raw, cache, t, probs, q)
 
 
-def _pts_backward_q(mlp: MlpParams, aux, z: np.ndarray, pred: np.ndarray, dq: np.ndarray) -> MlpParams:
-    """Backpropagate per-sample dL/dQ through softmax(z/T) and the network."""
-    raw, cache, t, probs = aux
-    rows = np.arange(z.shape[0])
-    q = probs[rows, pred]
+def _flat_index(z: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """Indices of z[row, pred[row]] in z.ravel(); take() with them is several
+    times cheaper than the equivalent fancy indexing."""
+    return np.arange(z.shape[0]) * z.shape[1] + pred
+
+
+def _pts_backward_q(
+    mlp: MlpParams, aux, z: np.ndarray, pred: np.ndarray, dq: np.ndarray, out: MlpParams | None = None
+) -> MlpParams:
+    """Backpropagate per-sample dL/dQ through softmax(z/T) and the network.
+
+    The gradients go into out when given, as in backward_batch."""
+    raw, cache, t, probs, q = aux
     # dQ/dT = -(Q/T^2) * (z_pred - E_p[z])
     expected_z = (probs * z).sum(axis=1)
-    dq_dt = -(q / (t * t)) * (z[rows, pred] - expected_z)
+    dq_dt = -(q / (t * t)) * (z.ravel().take(_flat_index(z, pred)) - expected_z)
     # dT/draw = sigmoid(raw)
     draw = dq * dq_dt * expit(raw)
-    grads, _ = backward_batch(mlp, cache, draw)
+    grads, _ = backward_batch(mlp, cache, draw, out=out)
     return grads
 
 
@@ -360,6 +384,11 @@ def _resuscitate_dead_units(mlp: MlpParams, inputs: np.ndarray) -> None:
         h = np.maximum(a, 0.0)
 
 
+# Overflow on logits near the float range either ends as a NaN loss or
+# non-finite weights, both raised as NumericalError, or is harmless (a huge T
+# makes T*T inf and that sample's gradient 0); numpy's warnings would add
+# nothing but stderr noise.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_pts(dataset: Dataset, config: PtsTrainConfig | None = None) -> PtsModel:
     """Train the temperature network with Adam on seeded uniform minibatches.
 
@@ -374,17 +403,30 @@ def fit_pts(dataset: Dataset, config: PtsTrainConfig | None = None) -> PtsModel:
     z_all = dataset.logits
     zs_all = sorted_topk_matrix(z_all, cfg.topk)
     _recenter_biases(mlp, zs_all)
-    state = adam_init(mlp)
     pred_all = np.argmax(z_all, axis=1)
     corr_all = pred_all == dataset.labels
     n = len(dataset)
+
+    # Logit rows are gathered into reused buffers (mode="clip" lets take
+    # write into them unbuffered; the indices are in range). Gathering from a
+    # C-contiguous top-k copy is several times cheaper than from the
+    # reversed-stride view that sorted_topk_matrix returns. zs_all itself
+    # stays the operand of the full-set passes, whose matmul results depend
+    # on the operand's memory layout.
+    zs_rows = np.ascontiguousarray(zs_all)
+    z = np.empty((cfg.batch_size, z_all.shape[1]))
+    zs = np.empty((cfg.batch_size, cfg.topk))
+    grads = zeros_like_params(mlp)
+    state = adam_init(mlp)
 
     last_resuscitation = cfg.steps - cfg.steps // 10
     for step in range(cfg.steps):
         if step and step % RESUSCITATE_EVERY == 0 and step <= last_resuscitation:
             _resuscitate_dead_units(mlp, zs_all)
         idx = rng.integers(0, n, size=cfg.batch_size)
-        z, zs, pred, corr = z_all[idx], zs_all[idx], pred_all[idx], corr_all[idx]
+        np.take(z_all, idx, axis=0, out=z, mode="clip")
+        np.take(zs_rows, idx, axis=0, out=zs, mode="clip")
+        pred, corr = pred_all[idx], corr_all[idx]
         q, aux = _pts_q_batch(mlp, zs, z, pred, T_MIN)
         if cfg.loss == "ece":
             loss, dq, _ = _ece_loss_and_dq(q, corr, cfg.num_bins)
@@ -394,7 +436,7 @@ def fit_pts(dataset: Dataset, config: PtsTrainConfig | None = None) -> PtsModel:
             dq = 2.0 * resid / cfg.batch_size
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite training loss at step {state.step}")
-        grads = _pts_backward_q(mlp, aux, z, pred, dq)
+        _pts_backward_q(mlp, aux, z, pred, dq, out=grads)
         adam_step(mlp, grads, state, cfg.learning_rate)
 
     if not mlp.check_finite():

@@ -14,30 +14,44 @@ class MlpParams:
     """Per-layer weight matrices (fan_in x fan_out) and bias vectors.
 
     Hidden layers use ReLU, the output layer is linear with width 1.
+    Construction copies the given arrays into one parameter vector, ``flat``
+    (all weights, then all biases); ``weights`` and ``biases`` are views into
+    it, so edit them in place, never rebind their entries.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = [np.asarray(a, dtype=float) for a in (*self.weights, *self.biases)]
+        self.flat = np.empty(sum(a.size for a in arrays))
+        views, offset = [], 0
+        for a in arrays:
+            view = self.flat[offset : offset + a.size].reshape(a.shape)
+            view[...] = a
+            views.append(view)
+            offset += a.size
+        num_layers = len(self.weights)
+        self.weights, self.biases = views[:num_layers], views[num_layers:]
 
     @property
     def widths(self) -> list[int]:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return MlpParams(self.weights, self.biases)
 
     def check_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
+        return bool(np.all(np.isfinite(self.flat)))
 
 
 @dataclass
 class AdamState:
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    """First and second moment estimates over MlpParams.flat."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -75,8 +89,10 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = h @ w + b
-        h = a if i == last else np.maximum(a, 0.0)
+        h = h @ w
+        h += b
+        if i != last:
+            np.maximum(h, 0.0, out=h)
         cache.append(h)
     return h[:, 0], cache
 
@@ -86,22 +102,25 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[float, list]:
     return float(out[0]), cache
 
 
-def backward_batch(params: MlpParams, cache: list, upstream: np.ndarray) -> tuple[MlpParams, np.ndarray]:
+def backward_batch(
+    params: MlpParams, cache: list, upstream: np.ndarray, out: MlpParams | None = None
+) -> tuple[MlpParams, np.ndarray]:
     """Exact reverse-mode gradients, summed over the batch.
 
     upstream is the (B,) gradient of the loss w.r.t. the scalar outputs.
     ReLU subgradient at 0 is 0. Also returns the gradient w.r.t. the input.
+    The gradients are written into out when given, so a training loop can
+    reuse one buffer; otherwise into new parameters.
     """
     upstream = np.asarray(upstream, dtype=float)
-    grads = zeros_like_params(params)
+    grads = zeros_like_params(params) if out is None else out
     delta = upstream[:, None]
     for i in range(len(params.weights) - 1, -1, -1):
-        h_prev = cache[i]
-        grads.weights[i] = h_prev.T @ delta
-        grads.biases[i] = delta.sum(axis=0)
+        np.matmul(cache[i].T, delta, out=grads.weights[i])
+        np.sum(delta, axis=0, out=grads.biases[i])
         delta = delta @ params.weights[i].T
         if i > 0:
-            delta = delta * (cache[i] > 0.0)
+            delta *= cache[i] > 0.0
     return grads, delta
 
 
@@ -111,31 +130,23 @@ def backward(params: MlpParams, cache: list, upstream: float) -> tuple[MlpParams
 
 
 def adam_init(params: MlpParams) -> AdamState:
-    return AdamState(
-        m_weights=[np.zeros_like(w) for w in params.weights],
-        v_weights=[np.zeros_like(w) for w in params.weights],
-        m_biases=[np.zeros_like(b) for b in params.biases],
-        v_biases=[np.zeros_like(b) for b in params.biases],
-    )
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) -> tuple[MlpParams, AdamState]:
-    """Standard bias-corrected Adam update. Mutates params and state in place
-    and returns them (single-owner optimizer state)."""
+    """Standard bias-corrected Adam update, one vectorised update over the
+    flat parameter vector. Mutates params and state in place and returns them
+    (single-owner optimizer state)."""
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for i in range(len(params.weights)):
-        for p, g, m, v in (
-            (params.weights[i], grads.weights[i], state.m_weights[i], state.v_weights[i]),
-            (params.biases[i], grads.biases[i], state.m_biases[i], state.v_biases[i]),
-        ):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    g, m, v = grads.flat, state.m, state.v
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return params, state
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,11 @@ def test_read_logits_error_messages(tmp_path):
 
     path.write_text("label,z0,z1\n0,inf,2.0\n")
     with pytest.raises(DataFormatError, match="non-finite"):
+        read_logits(path)
+
+    # the blank line 3 is skipped but still counted
+    path.write_text("label,z0,z1\n0,1.0,2.0\n\n1,nan,0.5\n0,inf,1.0\n")
+    with pytest.raises(DataFormatError, match="line 4: non-finite logit"):
         read_logits(path)
 
     path.write_text("label,z0,z1\n")
@@ -223,3 +229,16 @@ def test_cli_eval_stdout_when_no_out(tmp_path, capsys):
     assert main(["eval", "--model", model, "--test", test]) == 0
     printed = capsys.readouterr().out
     assert json.loads(printed)["schema_version"] == 1
+
+
+def test_cli_fit_pts_overflowing_logits_exit_3(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    huge = Dataset(labels=rng.integers(0, 4, size=200), logits=rng.normal(size=(200, 4)) * 1e306)
+    val = tmp_path / "huge.csv"
+    write_logits(huge, val)
+    argv = ["fit", "--method", "pts", "--val", str(val), "--out", str(tmp_path / "m.json"), "--steps", "20"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print more stderr lines
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: ")

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from calibkit.core import Dataset, Predictions, softmax, sorted_topk_matrix
+from calibkit.errors import NumericalError
 from calibkit.metrics import ece
 from calibkit.scaling import (
     EtsModel,
@@ -207,3 +210,43 @@ def test_fit_pts_mse_loss_trains():
     preds = Predictions.from_probs(model.apply_probs(ds.logits), ds.labels)
     raw = Predictions.from_probs(softmax(ds.logits), ds.labels)
     assert ece(preds, 10).value < ece(raw, 10).value
+
+
+def weights_sha256(mlp) -> str:
+    h = hashlib.sha256()
+    for w, b in zip(mlp.weights, mlp.biases):
+        h.update(np.ascontiguousarray(w, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# Recorded before the training step was optimised; any change to the step's
+# arithmetic changes them. The lr 1e-2 width-1 run revives a dead unit.
+GOLDEN_WEIGHTS = {
+    "ece": ({}, "5f90027ce1bbe90df2aaacae09c7370da2b9a96beb1cf2d05f9796a4e956d99d"),
+    "mse": ({"loss": "mse"}, "8b20442242083668986fb3f36d71785d9691d25002087c136937d80ee93fa7ac"),
+    "width1_lr1e-3": (
+        {"hidden": (1, 1), "learning_rate": 1e-3},
+        "cb4e1d9ce93fff292bc0541001dbfbf746bc531fb69fd38b22eabb23aa143bea",
+    ),
+    "width1_lr1e-2": (
+        {"hidden": (1, 1), "learning_rate": 1e-2},
+        "1a277f28bdea4eabdd3ea3b96c2f55dabc38817d2172db7c24ffb7668c6337b3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_WEIGHTS))
+def test_fit_pts_weights_match_golden_hash(case):
+    overrides, expected = GOLDEN_WEIGHTS[case]
+    ds = generate(SynthConfig(num_samples=5000, regime="heteroscedastic", seed=17))
+    model = fit_pts(ds, PtsTrainConfig(steps=2000, seed=17, **overrides))
+    assert weights_sha256(model.mlp) == expected
+
+
+def test_fit_pts_overflowing_logits_raise_numerical_error():
+    # finite logits near the float range: z / T overflows once T < 1
+    rng = np.random.default_rng(0)
+    ds = Dataset(labels=rng.integers(0, 4, size=200), logits=rng.normal(size=(200, 4)) * 1e306)
+    with pytest.raises(NumericalError, match="non-finite training loss"):
+        fit_pts(ds, PtsTrainConfig(steps=20, batch_size=50))

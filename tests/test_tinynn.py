@@ -173,3 +173,47 @@ def test_zeros_like_params():
     z = zeros_like_params(params)
     assert all(np.all(w == 0) for w in z.weights)
     assert [w.shape for w in z.weights] == [w.shape for w in params.weights]
+
+
+def reference_adam_step(weights, biases, grads, state, lr):
+    """The per-array Adam update that the flat adam_step replaced, kept as the
+    bitwise reference: state holds per-array moment lists and the step."""
+    state["step"] += 1
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    c1 = 1.0 - b1 ** state["step"]
+    c2 = 1.0 - b2 ** state["step"]
+    for i in range(len(weights)):
+        for p, g, m, v in (
+            (weights[i], grads.weights[i], state["m_w"][i], state["v_w"][i]),
+            (biases[i], grads.biases[i], state["m_b"][i], state["v_b"][i]),
+        ):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def test_flat_adam_matches_per_array_reference_bitwise():
+    rng = np.random.default_rng(10)
+    params = init_mlp([10, 5, 5, 1], rng=rng)
+    for b in params.biases:
+        b += rng.normal(scale=0.3, size=b.shape)
+    xs = rng.normal(size=(64, 10))
+    ref_w = [w.copy() for w in params.weights]
+    ref_b = [b.copy() for b in params.biases]
+    ref_state = {
+        "step": 0,
+        "m_w": [np.zeros_like(w) for w in ref_w],
+        "v_w": [np.zeros_like(w) for w in ref_w],
+        "m_b": [np.zeros_like(b) for b in ref_b],
+        "v_b": [np.zeros_like(b) for b in ref_b],
+    }
+    state = adam_init(params)
+    for _ in range(200):
+        _, grads = sum_squared_loss(params, xs)
+        adam_step(params, grads, state, 0.01)
+        reference_adam_step(ref_w, ref_b, grads, ref_state, 0.01)
+        assert all(np.array_equal(a, b) for a, b in zip(params.weights, ref_w))
+        assert all(np.array_equal(a, b) for a, b in zip(params.biases, ref_b))
+    assert state.step == ref_state["step"] == 200
