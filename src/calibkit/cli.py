@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -42,11 +43,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text: str) -> list[int]:
+def _positive_int(text: str) -> int:
     try:
-        return [int(v) for v in text.split(",") if v]
-    except ValueError as exc:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+        if 0.0 < value < math.inf:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+
+
+def _int_list(text: str) -> list[int]:
+    values = [_positive_int(v) for v in text.split(",") if v]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of positive integers, got {text!r}")
+    return values
 
 
 def _fraction_list(text: str) -> list[float]:
@@ -72,10 +93,10 @@ def build_parser() -> _Parser:
     def add_train_flags(p, default_steps):
         p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
         p.add_argument("--bins", type=_int_list, default=[10], help="comma list of bin counts")
-        p.add_argument("--steps", type=int, default=default_steps)
-        p.add_argument("--batch-size", type=int, default=1000)
-        p.add_argument("--lr", type=float, default=1e-4)
-        p.add_argument("--topk", type=int, default=10)
+        p.add_argument("--steps", type=_positive_int, default=default_steps)
+        p.add_argument("--batch-size", type=_positive_int, default=1000)
+        p.add_argument("--lr", type=_positive_float, default=1e-4)
+        p.add_argument("--topk", type=_positive_int, default=10)
 
     p_fit = sub.add_parser("fit", help="fit one calibrator and write a model file")
     p_fit.add_argument("--method", required=True)

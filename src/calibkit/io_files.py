@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Any
 
@@ -85,14 +86,45 @@ def write_logits(dataset: Dataset, path: str | Path) -> None:
 
 
 def read_logits(path: str | Path) -> Dataset:
+    """Parse a logits CSV. Rows are split with str.splitlines(); the data rows
+    are parsed in C when that gives exactly what the line parser would, and by
+    the line parser, with its line-numbered messages, otherwise."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    # On ASCII text without \x1f, np.loadtxt accepts a subset of what int()
+    # and float() accept and gives the same values. It strips \x1f as
+    # whitespace where float() rejects it, and misreads non-ASCII digits.
+    c_parsable = text.isascii() and "\x1f" not in text
+    lines = text.splitlines()
+    del text  # the lines hold the same characters; keep one copy alive
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     header = lines[0].split(",")
     if header[0] != "label" or len(header) < 3 or header[1:] != [f"z{i}" for i in range(len(header) - 1)]:
         raise DataFormatError(f"{path}: line 1: expected header 'label,z0,z1,...'")
     c = len(header) - 1
+    dataset = _parse_rows_fast(lines, c) if c_parsable else None
+    return dataset if dataset is not None else _parse_rows(path, lines, c)
+
+
+def _parse_rows_fast(lines: list[str], c: int) -> Dataset | None:
+    """The data rows parsed by np.loadtxt, or None when the line parser must
+    run: a row that does not parse, no rows, a label out of range or a
+    non-finite logit (Dataset rejects the last three)."""
+    dtype = np.dtype([("label", np.int64), ("z", float, (c,))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(lines[1:], dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        # contiguous copies, so the record array is freed on return
+        return Dataset(labels=rows["label"].copy(), logits=rows["z"].copy())
+    except ValueError:
+        return None
+
+
+def _parse_rows(path: str | Path, lines: list[str], c: int) -> Dataset:
+    """Line-by-line parse of the data rows with int() and float(); every error
+    names its line. Empty lines are skipped but counted."""
     labels, logits = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:

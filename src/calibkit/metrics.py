@@ -12,6 +12,8 @@ from .core import Dataset, PredictionsLike, as_predictions
 PROB_FLOOR = 1e-12
 KDE_GRID_POINTS = 1024
 KDE_BANDWIDTH_RANGE = (1e-3, 0.1)
+KDE_WINDOW = 8.5  # kernel reach in bandwidths: exp(-0.5 * 8.5**2) < 1e-15
+KDE_BLOCK = 4  # grid points per windowed kernel block; divides KDE_GRID_POINTS
 
 
 @dataclass(frozen=True)
@@ -154,15 +156,26 @@ def ece_kde(preds: PredictionsLike) -> EceReport:
     h = float(np.clip(1.06 * sigma * n ** (-0.2), *KDE_BANDWIDTH_RANGE))
     grid = np.linspace(lo, hi, KDE_GRID_POINTS)
     dp = (hi - lo) / (KDE_GRID_POINTS - 1)
+    # Each block of grid points sums the kernel only over the sorted
+    # confidences within KDE_WINDOW bandwidths of it; beyond that the kernel
+    # is below 1e-15. The value differs from the dense sum over all
+    # confidences only by rounding, ~1e-14 relative (tests hold it to 1e-12).
+    order = np.argsort(conf, kind="stable")
+    conf, corr = conf[order], corr[order]
+    blocks = grid.reshape(-1, KDE_BLOCK)
+    starts = np.searchsorted(conf, blocks[:, 0] - KDE_WINDOW * h, side="left")
+    stops = np.searchsorted(conf, blocks[:, -1] + KDE_WINDOW * h, side="right")
+    scale = -0.5 / (h * h)
+    norm = n * h * np.sqrt(2 * np.pi)
     value = 0.0
-    block = 64
-    for start in range(0, KDE_GRID_POINTS, block):
-        g = grid[start : start + block]
-        w = np.exp(-0.5 * ((g[:, None] - conf[None, :]) / h) ** 2)
+    for g, a, b in zip(blocks, starts, stops):
+        w = np.subtract.outer(g, conf[a:b])
+        np.square(w, out=w)
+        w *= scale
+        np.exp(w, out=w)
         wsum = w.sum(axis=1)
-        density = wsum / (n * h * np.sqrt(2 * np.pi))
-        acc_hat = (w @ corr) / np.maximum(wsum, PROB_FLOOR)
-        value += float(np.sum(np.abs(acc_hat - g) * density) * dp)
+        acc_hat = (w @ corr[a:b]) / np.maximum(wsum, PROB_FLOOR)
+        value += float(np.sum(np.abs(acc_hat - g) * (wsum / norm)) * dp)
     return EceReport(metric_kind="kde", value=value, bandwidth=h)
 
 

@@ -47,11 +47,25 @@ def golden_section_minimize(f, a: float, b: float, tol: float = GOLDEN_TOL) -> f
     return (a + b) / 2.0
 
 
+def _tempered_softmax(z: np.ndarray, temperature) -> np.ndarray:
+    """softmax(z / T) for a scalar T or a column of per-row temperatures.
+
+    Finite logits near the float range overflow z / T when T < 1. That, or a
+    non-finite T, raises NumericalError; non-finite logits stay the
+    ValueError of softmax.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = z / temperature
+        if not (np.isfinite(scaled).all() and np.isfinite(temperature).all()) and np.isfinite(z).all():
+            raise NumericalError("tempered logits z/T are not finite")
+        return softmax(scaled)
+
+
 def apply_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
     """softmax(z / T); preserves the argmax for any T > 0."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    return softmax(np.asarray(logits, dtype=float) / temperature)
+    return _tempered_softmax(np.asarray(logits, dtype=float), temperature)
 
 
 @dataclass(frozen=True)
@@ -107,7 +121,7 @@ def apply_ets(logits: np.ndarray, model: EtsModel) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     w1, w2, w3 = model.weights
     c = z.shape[-1]
-    return w1 * softmax(z / model.temperature) + w2 * softmax(z) + w3 / c
+    return w1 * _tempered_softmax(z, model.temperature) + w2 * softmax(z) + w3 / c
 
 
 def _simplex_grid(step: float) -> np.ndarray:
@@ -274,8 +288,11 @@ def apply_pts(logits: np.ndarray, model: PtsModel) -> np.ndarray:
     single = z.ndim == 1
     if single:
         z = z[None, :]
-    t = pts_temperature_batch(z, model)
-    probs = softmax(z / t[:, None])
+    # logits near the float range can overflow the network to inf or NaN;
+    # _tempered_softmax turns a non-finite T into NumericalError
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = pts_temperature_batch(z, model)
+    probs = _tempered_softmax(z, t[:, None])
     return probs[0] if single else probs
 
 

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from calibkit.io_files import (
     save_model,
     write_logits,
 )
-from calibkit.scaling import PtsTrainConfig, fit_ets, fit_pts, fit_ts
+from calibkit.scaling import EtsModel, PtsTrainConfig, TsModel, fit_ets, fit_pts, fit_ts, pts_constant_model
 from calibkit.synth import SynthConfig, generate
 
 
@@ -242,3 +243,68 @@ def test_cli_fit_pts_overflowing_logits_exit_3(tmp_path, capsys):
         assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("numerical failure: ")
+
+
+def overflowing_models(val):
+    """One model of each tempered kind with T < 1, so z/T overflows on
+    finite logits near 1e307."""
+    return {
+        "ts": TsModel(temperature=0.01),
+        "ets": EtsModel(temperature=0.01, weights=(0.5, 0.3, 0.2), num_classes=4),
+        "pts": pts_constant_model(0.02, num_classes=4),
+        "irova_ts": replace(fit_irova_ts(val), ts=TsModel(temperature=0.01)),
+        "pbmc": replace(fit_pbmc(val, num_bins=5, seed=1), temperature=0.01),
+    }
+
+
+@pytest.mark.parametrize("command", ["apply", "eval"])
+@pytest.mark.parametrize("kind", ["ts", "ets", "pts", "irova_ts", "pbmc"])
+def test_cli_apply_eval_overflowing_logits_exit_3(tmp_path, capsys, kind, command):
+    rng = np.random.default_rng(0)
+    val = Dataset(labels=rng.integers(0, 4, size=200), logits=rng.normal(size=(200, 4)))
+    huge = Dataset(labels=val.labels, logits=val.logits * 1e307)
+    test, model = tmp_path / "huge.csv", tmp_path / "m.json"
+    write_logits(huge, test)
+    save_model(overflowing_models(val)[kind], model, num_classes=4)
+    argv = [command, "--model", str(model), "--test", str(test), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print more stderr lines
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["eval", "--bins", "0"],
+        ["eval", "--bins", "10,-1"],
+        ["eval", "--bins", ","],
+        ["fit", "--steps", "0"],
+        ["fit", "--steps", "-5"],
+        ["fit", "--batch-size", "0"],
+        ["compare", "--batch-size", "-1000"],
+        ["fit", "--lr", "0"],
+        ["fit", "--lr", "-0.5"],
+        ["fit", "--lr", "nan"],
+        ["fit", "--lr", "inf"],
+        ["fit", "--topk", "0"],
+        ["compare", "--topk", "-2"],
+        ["experiment", "--widths", "1,0"],
+    ],
+    ids=" ".join,
+)
+def test_cli_rejects_non_positive_numeric_flags(tmp_path, capsys, flags):
+    val, test = write_sets(tmp_path, n=50)
+    out = str(tmp_path / "out.json")
+    command, extra = flags[0], flags[1:]
+    argv = {
+        "fit": ["fit", "--method", "pts", "--val", val, "--out", out],
+        "eval": ["eval", "--model", str(tmp_path / "m.json"), "--test", test],
+        "compare": ["compare", "--methods", "pts", "--val", val, "--test", test],
+        "experiment": ["experiment", "capacity", "--out", str(tmp_path / "exp")],
+    }[command]
+    assert main(argv + extra) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: argument {extra[0]}: expected ")

@@ -208,3 +208,69 @@ def test_ece_value_in_unit_interval():
         conf = rng.uniform(size=n)
         preds = Predictions(np.zeros(n, dtype=int), conf, rng.uniform(size=n) < 0.5)
         assert 0.0 <= ece(preds, int(rng.integers(1, 25))).value <= 1.0
+
+
+def dense_ece_kde(preds):
+    """The dense O(1024 * N) KDE-ECE, summing the kernel over every
+    confidence; the oracle for the windowed ece_kde."""
+    p = preds
+    n = len(p)
+    conf = p.confidence
+    corr = p.correct.astype(float)
+    sigma = float(conf.std())
+    lo, hi = float(conf.min()), float(conf.max())
+    h = float(np.clip(1.06 * sigma * n ** (-0.2), 1e-3, 0.1))
+    grid = np.linspace(lo, hi, 1024)
+    dp = (hi - lo) / (1024 - 1)
+    value = 0.0
+    block = 64
+    for start in range(0, 1024, block):
+        g = grid[start : start + block]
+        w = np.exp(-0.5 * ((g[:, None] - conf[None, :]) / h) ** 2)
+        wsum = w.sum(axis=1)
+        density = wsum / (n * h * np.sqrt(2 * np.pi))
+        acc_hat = (w @ corr) / np.maximum(wsum, 1e-12)
+        value += float(np.sum(np.abs(acc_hat - g) * density) * dp)
+    return value, h
+
+
+def _random_preds(conf, seed):
+    conf = np.asarray(conf)
+    correct = np.random.default_rng(seed).uniform(size=len(conf)) < conf
+    return Predictions(np.zeros(len(conf), dtype=int), conf, correct)
+
+
+def _oracle_preds():
+    oracle = generate(SynthConfig(num_samples=100_000, regime="heteroscedastic", seed=22))
+    return Predictions.from_probs(oracle.true_probs, oracle.labels)
+
+
+_rng = np.random.default_rng
+KDE_CASES = {
+    # two clusters at 0.1 and 0.95: sigma ~0.4 on 300 points gives h > 0.1
+    "h_clipped_at_0.1": lambda: _random_preds(
+        np.concatenate([_rng(1).uniform(0.05, 0.15, 150), _rng(2).uniform(0.9, 1.0, 150)]), 3
+    ),
+    "h_clipped_at_1e-3": lambda: _random_preds(0.6 + 1e-4 * _rng(4).normal(size=2000), 5),
+    "n_10": lambda: _random_preds(_rng(6).uniform(0.2, 1.0, size=10), 7),
+    # five outliers 0.4 away from a tight cluster, h ~1e-3: the grid points
+    # between them have empty windows, and the dense wsum falls below PROB_FLOOR
+    "empty_windows": lambda: _random_preds(
+        np.concatenate([0.5 + 1e-4 * _rng(8).normal(size=20_000), 0.9 + 1e-4 * _rng(9).normal(size=5)]), 10
+    ),
+    "heavy_ties": lambda: _random_preds(_rng(11).choice([0.25, 0.5, 0.5000000000000001, 0.75, 1.0], size=3000), 12),
+    "oracle_100k": _oracle_preds,
+}
+
+
+@pytest.mark.parametrize("name", list(KDE_CASES))
+def test_ece_kde_matches_dense_oracle(name):
+    preds = KDE_CASES[name]()
+    expected, h = dense_ece_kde(preds)
+    report = ece_kde(preds)
+    assert report.bandwidth == h
+    if name.startswith("h_clipped_at_"):
+        assert h == float(name.removeprefix("h_clipped_at_"))
+    if name == "empty_windows":
+        assert np.diff(np.sort(preds.confidence)).max() > 20 * h
+    assert report.value == pytest.approx(expected, rel=1e-12, abs=0.0)
