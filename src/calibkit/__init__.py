@@ -2,15 +2,7 @@
 calibrators (TS, ETS, and a neural-network parameterized temperature), the
 standard binning baselines, calibration metrics, and synthetic oracles."""
 
-from .core import (
-    Dataset,
-    LogitRecord,
-    PredictionRecord,
-    Predictions,
-    softmax,
-    sorted_topk,
-    top_label,
-)
+from .core import Dataset, Predictions, softmax, sorted_topk_matrix
 from .metrics import (
     BinStats,
     EceReport,
@@ -33,7 +25,6 @@ from .scaling import (
     fit_ets,
     fit_pts,
     fit_ts,
-    pts_temperature,
 )
 from .binning import (
     HistBinModel,

@@ -8,7 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, softmax
+from .core import Dataset, Predictions, softmax
+from .errors import DataFormatError
+from .metrics import _equal_mass_groups
 from .scaling import TsModel, apply_temperature, fit_ts
 
 IRM_STRICTNESS = 1e-6
@@ -73,6 +75,13 @@ class StepFunction:
         idx = np.searchsorted(self.x, np.asarray(q, dtype=float), side="right") - 1
         return self.y[np.clip(idx, 0, self.x.shape[0] - 1)]
 
+    def to_params(self) -> dict:
+        return {"x": self.x.tolist(), "y": self.y.tolist()}
+
+    @classmethod
+    def from_params(cls, p: dict) -> "StepFunction":
+        return cls(x=np.asarray(p["x"]), y=np.asarray(p["y"]))
+
 
 def _isotonic_step_function(p: np.ndarray, t: np.ndarray) -> StepFunction:
     """Isotonic fit of targets t against scores p, returned as a step function.
@@ -91,18 +100,10 @@ def _isotonic_step_function(p: np.ndarray, t: np.ndarray) -> StepFunction:
 
 def _equal_mass_edges(conf: np.ndarray, num_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Quantile bin edges over fit confidences. Returns the internal edges
-    (length num_bins-1 before tie merging) and the per-bin index groups.
-    Adjacent bins sharing a boundary confidence are merged."""
-    order = np.argsort(conf, kind="stable")
-    groups = [g for g in np.array_split(order, num_bins) if g.size]
-    merged = [groups[0]]
-    for g in groups[1:]:
-        if conf[merged[-1][-1]] == conf[g[0]]:
-            merged[-1] = np.concatenate([merged[-1], g])
-        else:
-            merged.append(g)
-    edges = np.array([conf[g[-1]] for g in merged[:-1]])
-    return edges, merged
+    (length num_bins-1 before tie merging) and the per-bin index groups of
+    metrics' equal-mass ECE."""
+    groups = _equal_mass_groups(conf, num_bins)
+    return np.array([conf[g[-1]] for g in groups[:-1]]), groups
 
 
 def _bin_lookup(edges: np.ndarray, conf: np.ndarray) -> np.ndarray:
@@ -137,6 +138,8 @@ class HistBinModel:
     outputs: np.ndarray  # calibrated score per bin, len(edges) + 1
     num_classes: int
 
+    kind = "histbin"
+
     def apply_confidence(self, conf: np.ndarray) -> np.ndarray:
         return self.outputs[_bin_lookup(self.edges, np.asarray(conf, dtype=float))]
 
@@ -145,17 +148,21 @@ class HistBinModel:
         q = self.apply_confidence(probs.max(axis=1))
         return _replace_top_confidence(probs, q, preserve_argmax=False)
 
+    def to_params(self) -> dict:
+        return {"edges": self.edges.tolist(), "outputs": self.outputs.tolist()}
+
+    @classmethod
+    def from_params(cls, p: dict, num_classes: int) -> "HistBinModel":
+        return cls(edges=np.asarray(p["edges"]), outputs=np.asarray(p["outputs"]), num_classes=num_classes)
+
 
 def fit_hist_binning(dataset: Dataset, num_bins: int) -> HistBinModel:
     """Per-bin calibrated score = mean correctness (the squared-loss minimizer)."""
     if len(dataset) < num_bins:
-        raise ValueError("need at least as many samples as bins")
-    probs = softmax(dataset.logits)
-    pred = np.argmax(probs, axis=1)
-    conf = probs[np.arange(len(dataset)), pred]
-    corr = (pred == dataset.labels).astype(float)
-    edges, groups = _equal_mass_edges(conf, num_bins)
-    outputs = np.array([corr[g].mean() for g in groups])
+        raise DataFormatError(f"histogram binning needs at least {num_bins} samples (one per bin), got {len(dataset)}")
+    preds = Predictions.from_probs(softmax(dataset.logits), dataset.labels)
+    edges, groups = _equal_mass_edges(preds.confidence, num_bins)
+    outputs = np.array([preds.correct[g].mean() for g in groups])
     return HistBinModel(edges=edges, outputs=outputs, num_classes=dataset.num_classes)
 
 
@@ -166,6 +173,8 @@ class IrovaModel:
     maps: tuple[StepFunction, ...]
     num_classes: int
 
+    kind = "irova"
+
     def apply_to_probs(self, probs: np.ndarray) -> np.ndarray:
         scores = np.column_stack([self.maps[c](probs[:, c]) for c in range(self.num_classes)])
         sums = scores.sum(axis=1, keepdims=True)
@@ -174,6 +183,13 @@ class IrovaModel:
 
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         return self.apply_to_probs(softmax(logits))
+
+    def to_params(self) -> dict:
+        return {"maps": [s.to_params() for s in self.maps]}
+
+    @classmethod
+    def from_params(cls, p: dict, num_classes: int) -> "IrovaModel":
+        return cls(maps=tuple(StepFunction.from_params(d) for d in p["maps"]), num_classes=num_classes)
 
 
 def fit_irova_from_probs(probs: np.ndarray, labels: np.ndarray, num_classes: int) -> IrovaModel:
@@ -196,12 +212,21 @@ class IrmModel:
     strictness: float = IRM_STRICTNESS
     num_classes: int = 2
 
+    kind = "irm"
+
     def apply_to_probs(self, probs: np.ndarray) -> np.ndarray:
         scores = self.shared_map(probs) + self.strictness * probs
         return scores / scores.sum(axis=1, keepdims=True)
 
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         return self.apply_to_probs(softmax(logits))
+
+    def to_params(self) -> dict:
+        return {"map": self.shared_map.to_params(), "strictness": self.strictness}
+
+    @classmethod
+    def from_params(cls, p: dict, num_classes: int) -> "IrmModel":
+        return cls(shared_map=StepFunction.from_params(p["map"]), strictness=p["strictness"], num_classes=num_classes)
 
 
 def fit_irm(dataset: Dataset) -> IrmModel:
@@ -220,12 +245,21 @@ class IrovaTsModel:
     ts: TsModel
     irova: IrovaModel
 
+    kind = "irova_ts"
+
     @property
     def num_classes(self) -> int:
         return self.irova.num_classes
 
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         return self.irova.apply_to_probs(self.ts.apply_probs(logits))
+
+    def to_params(self) -> dict:
+        return {**self.ts.to_params(), **self.irova.to_params()}
+
+    @classmethod
+    def from_params(cls, p: dict, num_classes: int) -> "IrovaTsModel":
+        return cls(ts=TsModel.from_params(p, num_classes), irova=IrovaModel.from_params(p, num_classes))
 
 
 def fit_irova_ts(dataset: Dataset) -> IrovaTsModel:
@@ -245,11 +279,20 @@ class PbmcModel:
     outputs: np.ndarray
     num_classes: int
 
+    kind = "pbmc"
+
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         probs = apply_temperature(logits, self.temperature)
         conf = probs.max(axis=1)
         q = self.outputs[_bin_lookup(self.edges, conf)]
         return _replace_top_confidence(probs, q, preserve_argmax=True)
+
+    def to_params(self) -> dict:
+        return {"temperature": self.temperature, "edges": self.edges.tolist(), "outputs": self.outputs.tolist()}
+
+    @classmethod
+    def from_params(cls, p: dict, num_classes: int) -> "PbmcModel":
+        return cls(p["temperature"], np.asarray(p["edges"]), np.asarray(p["outputs"]), num_classes)
 
 
 def fit_pbmc(dataset: Dataset, num_bins: int = 10, seed: int = 17) -> PbmcModel:
@@ -257,7 +300,7 @@ def fit_pbmc(dataset: Dataset, num_bins: int = 10, seed: int = 17) -> PbmcModel:
     fold 3 sets each bin output to the mean scaled confidence falling in it."""
     n = len(dataset)
     if n < 3 * num_bins:
-        raise ValueError("need at least 3 * num_bins samples for the three folds")
+        raise DataFormatError(f"scaling-binning needs at least {3 * num_bins} samples (3 folds x {num_bins} bins), got {n}")
     perm = np.random.default_rng(seed).permutation(n)
     thirds = np.array_split(perm, 3)
     ts = fit_ts(dataset.subset(thirds[0]))

@@ -18,7 +18,6 @@ from .errors import DataFormatError, NumericalError
 from .io_files import (
     _fmt,
     load_model,
-    model_kind,
     read_logits,
     save_model,
     write_json,
@@ -136,13 +135,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _pts_config(args, loss: str = "ece") -> PtsTrainConfig:
+def _pts_config(args) -> PtsTrainConfig:
     return PtsTrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch_size,
         steps=args.steps,
         num_bins=args.bins[0],
-        loss=loss,
         seed=args.seed,
         topk=args.topk,
     )
@@ -166,13 +164,12 @@ def _write_rows_csv(rows: list[dict], path: Path) -> None:
 
 
 def cmd_fit(args) -> int:
-    if args.method not in experiments.METHODS:
+    if args.method not in experiments.CALIBRATORS:
         raise UsageError(f"unknown calibrator kind {args.method!r}")
     loss = args.losses[0] if args.losses else None
     val = read_logits(args.val)
-    pts_cfg = _pts_config(args, loss=loss or "ece") if args.method == "pts" else None
     model = experiments.fit_method(
-        args.method, val, seed=args.seed, num_bins=args.bins[0], pts_config=pts_cfg, loss=loss
+        args.method, val, seed=args.seed, num_bins=args.bins[0], pts_config=_pts_config(args), loss=loss
     )
     save_model(model, args.out, num_classes=val.num_classes)
     return EXIT_OK
@@ -197,14 +194,14 @@ def cmd_eval(args) -> int:
         "schema_version": 1,
         "num_classes": test.num_classes,
         "bins": list(args.bins),
-        "methods": {model_kind(model): experiments.evaluate_model(model, test, args.bins)},
+        "methods": {model.kind: experiments.evaluate_model(model, test, args.bins)},
     }
     _emit_report(report, args.out)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    unknown = [m for m in args.methods if m not in experiments.METHODS]
+    unknown = [m for m in args.methods if m not in experiments.CALIBRATORS]
     if unknown:
         raise UsageError(f"unknown calibrator kind(s): {', '.join(unknown)}")
     val = read_logits(args.val)
@@ -223,7 +220,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    fractions = args.fractions if isinstance(args.fractions, list) else _fraction_list(args.fractions)
     cfg = _pts_config(args)
     if args.name == "capacity":
         rows = experiments.run_capacity(args.widths, cfg, seed=args.seed)
@@ -232,7 +228,7 @@ def cmd_experiment(args) -> int:
         rows = experiments.run_bins_sweep(bins, cfg, seed=args.seed)
     elif args.name == "data_efficiency":
         methods = args.methods or ["ts", "ets", "pts", "irova"]
-        rows = experiments.run_data_efficiency(fractions, cfg, methods=methods, seed=args.seed)
+        rows = experiments.run_data_efficiency(args.fractions, cfg, methods=methods, seed=args.seed)
     else:
         methods = args.methods or ["ets", "pts"]
         rows = experiments.run_loss_ablation(methods, args.losses, cfg, seed=args.seed)

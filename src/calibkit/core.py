@@ -2,28 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LogitRecord:
-    """One sample: raw logit vector plus its ground-truth label."""
-
-    label: int
-    logits: np.ndarray
-
-    def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=float)
-        object.__setattr__(self, "logits", logits)
-        if logits.ndim != 1 or logits.shape[0] < 2:
-            raise ValueError("logits must be a 1-D vector with at least 2 classes")
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("logits must be finite")
-        if not 0 <= self.label < logits.shape[0]:
-            raise ValueError(f"label {self.label} out of range for {logits.shape[0]} classes")
 
 
 @dataclass(frozen=True)
@@ -66,40 +48,15 @@ class Dataset:
     def __len__(self) -> int:
         return self.logits.shape[0]
 
-    @classmethod
-    def from_records(cls, records: Sequence[LogitRecord]) -> "Dataset":
-        if not records:
-            raise ValueError("dataset must be nonempty")
-        c = records[0].logits.shape[0]
-        for r in records:
-            if r.logits.shape[0] != c:
-                raise ValueError("all records must share the same number of classes")
-        return cls(
-            labels=np.array([r.label for r in records], dtype=np.int64),
-            logits=np.stack([r.logits for r in records]),
-        )
-
-    def records(self) -> Iterable[LogitRecord]:
-        for i in range(len(self)):
-            yield LogitRecord(label=int(self.labels[i]), logits=self.logits[i])
-
     def subset(self, indices: np.ndarray) -> "Dataset":
         tp = self.true_probs[indices] if self.true_probs is not None else None
         return Dataset(labels=self.labels[indices], logits=self.logits[indices], true_probs=tp)
 
 
 @dataclass(frozen=True)
-class PredictionRecord:
-    """Top-label view of one (possibly calibrated) prediction."""
-
-    predicted_class: int
-    confidence: float
-    correct: bool
-
-
-@dataclass(frozen=True)
 class Predictions:
-    """Vectorized stack of PredictionRecords used by every metric."""
+    """Top-label predicted class, confidence and correctness per sample; the
+    input of every metric."""
 
     predicted_class: np.ndarray
     confidence: np.ndarray
@@ -117,35 +74,12 @@ class Predictions:
         return self.confidence.shape[0]
 
     @classmethod
-    def from_records(cls, records: Sequence[PredictionRecord]) -> "Predictions":
-        return cls(
-            predicted_class=np.array([r.predicted_class for r in records], dtype=np.int64),
-            confidence=np.array([r.confidence for r in records], dtype=float),
-            correct=np.array([r.correct for r in records], dtype=bool),
-        )
-
-    @classmethod
     def from_probs(cls, probs: np.ndarray, labels: np.ndarray) -> "Predictions":
         probs = np.asarray(probs, dtype=float)
         labels = np.asarray(labels, dtype=np.int64)
         pred = np.argmax(probs, axis=1)
         conf = probs[np.arange(probs.shape[0]), pred]
         return cls(predicted_class=pred, confidence=conf, correct=pred == labels)
-
-    def to_records(self) -> list[PredictionRecord]:
-        return [
-            PredictionRecord(int(p), float(c), bool(k))
-            for p, c, k in zip(self.predicted_class, self.confidence, self.correct)
-        ]
-
-
-PredictionsLike = Union[Predictions, Sequence[PredictionRecord]]
-
-
-def as_predictions(preds: PredictionsLike) -> Predictions:
-    if isinstance(preds, Predictions):
-        return preds
-    return Predictions.from_records(list(preds))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -158,30 +92,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
-def top_label(probs: np.ndarray) -> tuple[int, float]:
-    """Index and value of the maximum entry; ties broken by lowest index."""
-    p = np.asarray(probs, dtype=float)
-    idx = int(np.argmax(p))
-    return idx, float(p[idx])
-
-
-def sorted_topk(logits: np.ndarray, k: int) -> np.ndarray:
-    """The k largest logits in decreasing order.
-
-    If there are fewer than k classes, the tail is padded with the smallest
-    selected logit so the output always has length exactly k.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    z = np.asarray(logits, dtype=float)
-    top = np.sort(z)[::-1][:k]
-    if top.shape[0] < k:
-        top = np.concatenate([top, np.full(k - top.shape[0], top[-1])])
-    return top
-
-
 def sorted_topk_matrix(logits: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise sorted_topk for a (N, C) logit matrix."""
+    """The k largest logits of each row of a (N, C) matrix, in decreasing order.
+
+    With fewer than k classes, each row is padded with its smallest logit so
+    the output is always (N, k).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     z = np.asarray(logits, dtype=float)

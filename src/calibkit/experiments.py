@@ -4,9 +4,7 @@ bin sweep, data-efficiency sweep, loss ablation)."""
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Sequence
 
@@ -14,23 +12,34 @@ import numpy as np
 
 from .core import Dataset, Predictions, softmax
 from .metrics import accuracy, ece, ece_equal_mass, ece_kde, nll, reliability_data
+from .binning import HistBinModel, IrmModel, IrovaModel, IrovaTsModel, PbmcModel
 from .binning import fit_hist_binning, fit_irm, fit_irova, fit_irova_ts, fit_pbmc
-from .scaling import PtsTrainConfig, fit_ets, fit_pts, fit_ts
+from .scaling import EtsModel, PtsModel, PtsTrainConfig, TsModel, fit_ets, fit_pts, fit_ts
 from .synth import SynthConfig, generate, split
-
-METHODS = ("ts", "ets", "pts", "histbin", "irova", "irm", "irova_ts", "pbmc")
 
 DEFAULT_SEED = 17
 EXPERIMENT_VAL_SIZE = 20_000
 EXPERIMENT_TEST_SIZE = 20_000
 
 
-def thread_cap() -> int:
-    """Parallelism cap from CALIBKIT_THREADS (defaults to 1: fully sequential)."""
-    try:
-        return max(1, int(os.environ.get("CALIBKIT_THREADS", "1")))
-    except ValueError:
-        return 1
+def _pts_fit_config(pts_config: PtsTrainConfig | None, seed: int, loss: str | None) -> PtsTrainConfig:
+    cfg = pts_config or PtsTrainConfig(seed=seed)
+    return replace(cfg, loss=loss) if loss else cfg
+
+
+# kind -> (model class, fitter). The fitters name this module's fit_*
+# functions inside lambdas, so they are looked up when called and a patched
+# experiments.fit_* is the one that runs.
+CALIBRATORS = {
+    "ts": (TsModel, lambda ds, **_: fit_ts(ds)),
+    "ets": (EtsModel, lambda ds, num_bins, loss, **_: fit_ets(ds, loss=loss or "mse", num_bins=num_bins)),
+    "pts": (PtsModel, lambda ds, seed, pts_config, loss, **_: fit_pts(ds, _pts_fit_config(pts_config, seed, loss))),
+    "histbin": (HistBinModel, lambda ds, num_bins, **_: fit_hist_binning(ds, num_bins)),
+    "irova": (IrovaModel, lambda ds, **_: fit_irova(ds)),
+    "irm": (IrmModel, lambda ds, **_: fit_irm(ds)),
+    "irova_ts": (IrovaTsModel, lambda ds, **_: fit_irova_ts(ds)),
+    "pbmc": (PbmcModel, lambda ds, seed, num_bins, **_: fit_pbmc(ds, num_bins=num_bins, seed=seed)),
+}
 
 
 def fit_method(
@@ -41,26 +50,10 @@ def fit_method(
     pts_config: PtsTrainConfig | None = None,
     loss: str | None = None,
 ):
-    if method == "ts":
-        return fit_ts(dataset)
-    if method == "ets":
-        return fit_ets(dataset, loss=loss or "mse", num_bins=num_bins)
-    if method == "pts":
-        cfg = pts_config or PtsTrainConfig(seed=seed)
-        if loss:
-            cfg = replace(cfg, loss=loss)
-        return fit_pts(dataset, cfg)
-    if method == "histbin":
-        return fit_hist_binning(dataset, num_bins)
-    if method == "irova":
-        return fit_irova(dataset)
-    if method == "irm":
-        return fit_irm(dataset)
-    if method == "irova_ts":
-        return fit_irova_ts(dataset)
-    if method == "pbmc":
-        return fit_pbmc(dataset, num_bins=num_bins, seed=seed)
-    raise ValueError(f"unknown calibrator kind {method!r}")
+    if method not in CALIBRATORS:
+        raise ValueError(f"unknown calibrator kind {method!r}")
+    fit = CALIBRATORS[method][1]
+    return fit(dataset, seed=seed, num_bins=num_bins, pts_config=pts_config, loss=loss)
 
 
 def calibrated_probs(model, dataset: Dataset) -> np.ndarray:
@@ -108,21 +101,8 @@ def run_compare(
     """Fit every requested calibrator on val, evaluate all (plus the
     uncalibrated base) on test. Returns (report, fitted models)."""
     for m in methods:
-        if m not in METHODS:
+        if m not in CALIBRATORS:
             raise ValueError(f"unknown calibrator kind {m!r}")
-
-    def fit_one(method: str):
-        start = time.perf_counter()
-        model = fit_method(method, val, seed=seed, num_bins=bins[0], pts_config=pts_config)
-        return model, time.perf_counter() - start
-
-    cap = thread_cap()
-    if cap > 1 and len(methods) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            fitted = dict(zip(methods, pool.map(fit_one, methods)))
-    else:
-        fitted = {m: fit_one(m) for m in methods}
-
     report = {
         "schema_version": 1,
         "seed": seed,
@@ -130,13 +110,16 @@ def run_compare(
         "bins": list(bins),
         "methods": {"base": evaluate_model(None, test, bins)},
     }
+    models = {}
     for m in methods:
-        model, secs = fitted[m]
-        block = evaluate_model(model, test, bins)
+        start = time.perf_counter()
+        models[m] = fit_method(m, val, seed=seed, num_bins=bins[0], pts_config=pts_config)
+        secs = time.perf_counter() - start
+        block = evaluate_model(models[m], test, bins)
         if timings:
             block["fit_wall_time_s"] = secs
         report["methods"][m] = block
-    return report, {m: fitted[m][0] for m in methods}
+    return report, models
 
 
 def _hetero_config(n: int, seed: int) -> SynthConfig:

@@ -13,15 +13,11 @@ from typing import Any
 
 import numpy as np
 
-from .binning import HistBinModel, IrmModel, IrovaModel, IrovaTsModel, PbmcModel, StepFunction
 from .core import Dataset
 from .errors import DataFormatError
-from .scaling import EtsModel, PtsModel, PtsTrainConfig, TsModel
-from .tinynn import MlpParams
+from .experiments import CALIBRATORS
 
 SCHEMA_VERSION = 1
-
-MODEL_KINDS = ("ts", "ets", "pts", "histbin", "irova", "irm", "irova_ts", "pbmc")
 
 
 def _fmt(x: float) -> str:
@@ -70,11 +66,6 @@ def write_text_atomic(text: str, path: str | Path) -> None:
 
 def write_json(obj: Any, path: str | Path) -> None:
     write_text_atomic(canonical_json(obj) + "\n", path)
-
-
-def read_json(path: str | Path) -> Any:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def write_logits(dataset: Dataset, path: str | Path) -> None:
@@ -151,142 +142,27 @@ def _parse_rows(path: str | Path, lines: list[str], c: int) -> Dataset:
     return Dataset(labels=np.array(labels, dtype=np.int64), logits=values)
 
 
-def _step_to_dict(s: StepFunction) -> dict:
-    return {"x": s.x.tolist(), "y": s.y.tolist()}
-
-
-def _step_from_dict(d: dict) -> StepFunction:
-    return StepFunction(x=np.asarray(d["x"]), y=np.asarray(d["y"]))
-
-
-def _config_to_dict(cfg: PtsTrainConfig) -> dict:
-    return {
-        "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size,
-        "steps": cfg.steps,
-        "num_bins": cfg.num_bins,
-        "hidden": list(cfg.hidden),
-        "loss": cfg.loss,
-        "seed": cfg.seed,
-        "topk": cfg.topk,
-    }
-
-
-def _config_from_dict(d: dict) -> PtsTrainConfig:
-    return PtsTrainConfig(
-        learning_rate=d["learning_rate"],
-        batch_size=d["batch_size"],
-        steps=d["steps"],
-        num_bins=d["num_bins"],
-        hidden=tuple(d["hidden"]),
-        loss=d["loss"],
-        seed=d["seed"],
-        topk=d["topk"],
-    )
-
-
-def model_kind(model) -> str:
-    kinds = {
-        TsModel: "ts",
-        EtsModel: "ets",
-        PtsModel: "pts",
-        HistBinModel: "histbin",
-        IrovaModel: "irova",
-        IrmModel: "irm",
-        IrovaTsModel: "irova_ts",
-        PbmcModel: "pbmc",
-    }
-    try:
-        return kinds[type(model)]
-    except KeyError:
-        raise ValueError(f"unknown model type {type(model)!r}") from None
-
-
 def model_to_dict(model, num_classes: int | None = None) -> dict:
-    kind = model_kind(model)
-    if kind == "ts":
-        params = {"temperature": model.temperature}
-    elif kind == "ets":
-        params = {"temperature": model.temperature, "weights": list(model.weights)}
-        num_classes = model.num_classes
-    elif kind == "pts":
-        params = {
-            "widths": model.mlp.widths,
-            "weights": [w.tolist() for w in model.mlp.weights],
-            "biases": [b.tolist() for b in model.mlp.biases],
-            "input_width": model.input_width,
-            "t_min": model.t_min,
-            "config": _config_to_dict(model.config),
-        }
-        num_classes = model.num_classes
-    elif kind == "histbin":
-        params = {"edges": model.edges.tolist(), "outputs": model.outputs.tolist()}
-        num_classes = model.num_classes
-    elif kind == "irova":
-        params = {"maps": [_step_to_dict(s) for s in model.maps]}
-        num_classes = model.num_classes
-    elif kind == "irm":
-        params = {"map": _step_to_dict(model.shared_map), "strictness": model.strictness}
-        num_classes = model.num_classes
-    elif kind == "irova_ts":
-        params = {
-            "temperature": model.ts.temperature,
-            "maps": [_step_to_dict(s) for s in model.irova.maps],
-        }
-        num_classes = model.num_classes
-    else:  # pbmc
-        params = {
-            "temperature": model.temperature,
-            "edges": model.edges.tolist(),
-            "outputs": model.outputs.tolist(),
-        }
-        num_classes = model.num_classes
+    """The model file document; num_classes is needed only for TS, whose
+    model does not carry it."""
+    num_classes = getattr(model, "num_classes", num_classes)
     if num_classes is None:
         raise ValueError("num_classes required for this model kind")
-    return {"kind": kind, "version": SCHEMA_VERSION, "num_classes": num_classes, "params": params}
+    return {"kind": model.kind, "version": SCHEMA_VERSION, "num_classes": num_classes, "params": model.to_params()}
 
 
 def model_from_dict(doc: dict):
-    kind = doc.get("kind")
-    if kind not in MODEL_KINDS:
+    """Rebuild a model from its file document. A missing field, a wrong type
+    or a value the model rejects is a DataFormatError."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in CALIBRATORS:
         raise DataFormatError(f"unknown model kind {kind!r}")
     if doc.get("version") != SCHEMA_VERSION:
         raise DataFormatError(f"unsupported model version {doc.get('version')!r}")
-    c = int(doc["num_classes"])
-    p = doc["params"]
-    if kind == "ts":
-        return TsModel(temperature=p["temperature"])
-    if kind == "ets":
-        return EtsModel(temperature=p["temperature"], weights=tuple(p["weights"]), num_classes=c)
-    if kind == "pts":
-        mlp = MlpParams(
-            weights=[np.asarray(w) for w in p["weights"]],
-            biases=[np.asarray(b) for b in p["biases"]],
-        )
-        return PtsModel(
-            mlp=mlp,
-            input_width=int(p["input_width"]),
-            num_classes=c,
-            t_min=p["t_min"],
-            config=_config_from_dict(p["config"]),
-        )
-    if kind == "histbin":
-        return HistBinModel(edges=np.asarray(p["edges"]), outputs=np.asarray(p["outputs"]), num_classes=c)
-    if kind == "irova":
-        return IrovaModel(maps=tuple(_step_from_dict(d) for d in p["maps"]), num_classes=c)
-    if kind == "irm":
-        return IrmModel(shared_map=_step_from_dict(p["map"]), strictness=p["strictness"], num_classes=c)
-    if kind == "irova_ts":
-        return IrovaTsModel(
-            ts=TsModel(temperature=p["temperature"]),
-            irova=IrovaModel(maps=tuple(_step_from_dict(d) for d in p["maps"]), num_classes=c),
-        )
-    return PbmcModel(
-        temperature=p["temperature"],
-        edges=np.asarray(p["edges"]),
-        outputs=np.asarray(p["outputs"]),
-        num_classes=c,
-    )
+    try:
+        return CALIBRATORS[kind][0].from_params(doc["params"], int(doc["num_classes"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"malformed {kind} model: {exc}") from exc
 
 
 def save_model(model, path: str | Path, num_classes: int | None = None) -> None:
@@ -295,10 +171,11 @@ def save_model(model, path: str | Path, num_classes: int | None = None) -> None:
 
 def load_model(path: str | Path):
     try:
-        doc = read_json(path)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return model_from_dict(doc)
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: malformed model file: {exc}") from exc
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

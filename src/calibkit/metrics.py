@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, PredictionsLike, as_predictions
+from .core import Dataset, Predictions
 
 PROB_FLOOR = 1e-12
 KDE_GRID_POINTS = 1024
@@ -37,7 +37,36 @@ class EceReport:
     bins: tuple[BinStats, ...] = ()
 
 
-def bin_equal_width(preds: PredictionsLike, num_bins: int) -> list[BinStats]:
+def equal_width_bins(conf: np.ndarray, num_bins: int) -> np.ndarray:
+    """0-based equal-width bin of each confidence.
+
+    Bin m (1-based) is ((m-1)/M, m/M] on the float edges m/M that BinStats
+    reports; c <= 1/M (c = 0 included) is bin 1 and c > (M-1)/M is bin M.
+    The result equals np.searchsorted(np.arange(1, M) / M, conf, side="left"),
+    several times faster on unsorted confidences: floor(c * M) is the bin or
+    one past it (never below it, as a c above the float edge m/M gives
+    c * M >= m after rounding), so one comparison with the lower edge of
+    bin floor(c * M) settles it.
+    """
+    lower = np.arange(num_bins + 1) / num_bins
+    lower[0], lower[-1] = -np.inf, np.inf
+    idx = (conf * num_bins).astype(np.intp)
+    np.clip(idx, 0, num_bins, out=idx)
+    idx -= conf <= lower[idx]
+    return idx
+
+
+def equal_width_totals(conf: np.ndarray, correct: np.ndarray, num_bins: int):
+    """Bin of each confidence, and per bin the count, the sum of confidences
+    and the number correct."""
+    idx = equal_width_bins(conf, num_bins)
+    counts = np.bincount(idx, minlength=num_bins)
+    sum_conf = np.bincount(idx, weights=conf, minlength=num_bins)
+    sum_corr = np.bincount(idx, weights=correct, minlength=num_bins)
+    return idx, counts, sum_conf, sum_corr
+
+
+def bin_equal_width(preds: Predictions, num_bins: int) -> list[BinStats]:
     """Partition predictions into num_bins equal-width bins ((m-1)/M, m/M].
 
     A confidence of exactly 0 is assigned to the first bin. Empty bins are
@@ -45,14 +74,7 @@ def bin_equal_width(preds: PredictionsLike, num_bins: int) -> list[BinStats]:
     """
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
-    p = as_predictions(preds)
-    conf = p.confidence
-    corr = p.correct.astype(float)
-    # ceil maps (m-1)/M < c <= m/M to bin m; clip sends c == 0 into bin 1
-    idx = np.clip(np.ceil(conf * num_bins).astype(int), 1, num_bins) - 1
-    counts = np.bincount(idx, minlength=num_bins) if len(p) else np.zeros(num_bins, dtype=int)
-    sum_conf = np.bincount(idx, weights=conf, minlength=num_bins) if len(p) else np.zeros(num_bins)
-    sum_corr = np.bincount(idx, weights=corr, minlength=num_bins) if len(p) else np.zeros(num_bins)
+    _, counts, sum_conf, sum_corr = equal_width_totals(preds.confidence, preds.correct, num_bins)
     stats = []
     for m in range(num_bins):
         c = int(counts[m])
@@ -69,18 +91,17 @@ def bin_equal_width(preds: PredictionsLike, num_bins: int) -> list[BinStats]:
     return stats
 
 
-def ece(preds: PredictionsLike, num_bins: int, d: int = 1) -> EceReport:
+def ece(preds: Predictions, num_bins: int, d: int = 1) -> EceReport:
     """Binned expected calibration error with equal-width bins.
 
     d=1 uses the absolute gap |acc - conf| per bin, d=2 the squared gap.
     """
     if d not in (1, 2):
         raise ValueError("d must be 1 or 2")
-    p = as_predictions(preds)
-    if len(p) == 0:
+    if len(preds) == 0:
         raise ValueError("need at least one prediction")
-    stats = bin_equal_width(p, num_bins)
-    n = len(p)
+    stats = bin_equal_width(preds, num_bins)
+    n = len(preds)
     value = 0.0
     for s in stats:
         if s.count == 0:
@@ -93,7 +114,6 @@ def ece(preds: PredictionsLike, num_bins: int, d: int = 1) -> EceReport:
 def _equal_mass_groups(conf: np.ndarray, num_bins: int) -> list[np.ndarray]:
     """Stable-sorted index groups of near-equal size; adjacent groups that
     share a boundary confidence value are merged so ties never straddle bins."""
-    n = conf.shape[0]
     order = np.argsort(conf, kind="stable")
     groups = [g for g in np.array_split(order, num_bins) if g.size]
     merged = [groups[0]]
@@ -105,16 +125,15 @@ def _equal_mass_groups(conf: np.ndarray, num_bins: int) -> list[np.ndarray]:
     return merged
 
 
-def ece_equal_mass(preds: PredictionsLike, num_bins: int) -> EceReport:
+def ece_equal_mass(preds: Predictions, num_bins: int) -> EceReport:
     """ECE with bin edges at empirical confidence quantiles (equal-mass bins)."""
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
-    p = as_predictions(preds)
-    n = len(p)
+    n = len(preds)
     if n < num_bins:
         raise ValueError("need at least as many predictions as bins")
-    conf = p.confidence
-    corr = p.correct.astype(float)
+    conf = preds.confidence
+    corr = preds.correct.astype(float)
     groups = _equal_mass_groups(conf, num_bins)
     stats = []
     value = 0.0
@@ -138,15 +157,14 @@ def ece_equal_mass(preds: PredictionsLike, num_bins: int) -> EceReport:
     return EceReport(metric_kind="equal_mass", value=value, num_bins=num_bins, bins=tuple(stats))
 
 
-def ece_kde(preds: PredictionsLike) -> EceReport:
+def ece_kde(preds: Predictions) -> EceReport:
     """KDE-based ECE: Nadaraya-Watson accuracy estimate against a Gaussian
     kernel density over confidences, integrated on a 1024-point grid."""
-    p = as_predictions(preds)
-    n = len(p)
+    n = len(preds)
     if n < 10:
         raise ValueError("need at least 10 predictions for the KDE estimate")
-    conf = p.confidence
-    corr = p.correct.astype(float)
+    conf = preds.confidence
+    corr = preds.correct.astype(float)
     sigma = float(conf.std())
     if sigma == 0.0:
         # degenerate spectrum: single confidence level
@@ -179,11 +197,10 @@ def ece_kde(preds: PredictionsLike) -> EceReport:
     return EceReport(metric_kind="kde", value=value, bandwidth=h)
 
 
-def accuracy(preds: PredictionsLike) -> float:
-    p = as_predictions(preds)
-    if len(p) == 0:
+def accuracy(preds: Predictions) -> float:
+    if len(preds) == 0:
         raise ValueError("need at least one prediction")
-    return float(p.correct.mean())
+    return float(preds.correct.mean())
 
 
 def nll(dataset: Dataset, probs: np.ndarray) -> float:
@@ -195,6 +212,6 @@ def nll(dataset: Dataset, probs: np.ndarray) -> float:
     return float(-np.log(np.maximum(p_label, PROB_FLOOR)).mean())
 
 
-def reliability_data(preds: PredictionsLike, num_bins: int) -> list[BinStats]:
+def reliability_data(preds: Predictions, num_bins: int) -> list[BinStats]:
     """Equal-width bin stats serialized for external reliability-diagram plotting."""
     return bin_equal_width(preds, num_bins)

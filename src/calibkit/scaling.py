@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
 
-from .core import Dataset, Predictions, softmax, sorted_topk_matrix
+from .core import Dataset, softmax, sorted_topk_matrix
 from .errors import NumericalError
-from .metrics import PROB_FLOOR
+from .metrics import equal_width_totals
 from .tinynn import (
     MlpParams,
     adam_init,
@@ -72,9 +72,18 @@ def apply_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
 class TsModel:
     temperature: float
 
+    kind = "ts"
+
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+
+    def to_params(self) -> dict:
+        return {"temperature": self.temperature}
+
+    @classmethod
+    def from_params(cls, p: dict, num_classes: int) -> "TsModel":
+        return cls(temperature=p["temperature"])
 
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         return apply_temperature(logits, self.temperature)
@@ -84,9 +93,16 @@ def _nll_at_temperature(logits: np.ndarray, labels: np.ndarray, temperature: flo
     z = logits / temperature
     z = z - z.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(-log_probs[np.arange(len(labels)), labels].mean())
+    nll = float(-log_probs[np.arange(len(labels)), labels].mean())
+    if not math.isfinite(nll):
+        raise NumericalError(f"validation NLL is not finite at temperature {temperature:.6g}")
+    return nll
 
 
+# Logits so large that the NLL overflows somewhere in the search range give
+# a near one-hot softmax at every T in it, so the fit would be meaningless;
+# that overflow is raised as NumericalError and numpy's warnings are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_ts(dataset: Dataset) -> TsModel:
     """Learn T by minimizing validation NLL; golden-section search on log T."""
     if np.unique(dataset.labels).size == 1:
@@ -106,15 +122,24 @@ class EtsModel:
     weights: tuple[float, float, float]
     num_classes: int
 
+    kind = "ets"
+
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        if w.shape != (3,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError("weights must be three nonnegative numbers summing to 1")
 
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         return apply_ets(logits, self)
+
+    def to_params(self) -> dict:
+        return {"temperature": self.temperature, "weights": list(self.weights)}
+
+    @classmethod
+    def from_params(cls, p: dict, num_classes: int) -> "EtsModel":
+        return cls(temperature=p["temperature"], weights=tuple(p["weights"]), num_classes=num_classes)
 
 
 def apply_ets(logits: np.ndarray, model: EtsModel) -> np.ndarray:
@@ -164,10 +189,7 @@ def _ets_ece_objective(q1: np.ndarray, q2: np.ndarray, correct: np.ndarray, num_
         out = np.empty(w.shape[0])
         for g in range(w.shape[0]):
             conf = feats @ w[g]
-            idx = np.clip(np.ceil(conf * num_bins).astype(int), 1, num_bins) - 1
-            counts = np.bincount(idx, minlength=num_bins)
-            sum_c = np.bincount(idx, weights=conf, minlength=num_bins)
-            sum_a = np.bincount(idx, weights=corr, minlength=num_bins)
+            _, counts, sum_c, sum_a = equal_width_totals(conf, corr, num_bins)
             nz = counts > 0
             gap = (sum_a[nz] - sum_c[nz]) / counts[nz]
             out[g] = float(((counts[nz] / n) * gap * gap).sum())
@@ -254,8 +276,32 @@ class PtsModel:
     t_min: float = T_MIN
     config: PtsTrainConfig = field(default_factory=PtsTrainConfig)
 
+    kind = "pts"
+
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         return apply_pts(logits, self)
+
+    def to_params(self) -> dict:
+        return {
+            "widths": self.mlp.widths,
+            "weights": [w.tolist() for w in self.mlp.weights],
+            "biases": [b.tolist() for b in self.mlp.biases],
+            "input_width": self.input_width,
+            "t_min": self.t_min,
+            "config": asdict(self.config),
+        }
+
+    @classmethod
+    def from_params(cls, p: dict, num_classes: int) -> "PtsModel":
+        config = {f.name: p["config"][f.name] for f in fields(PtsTrainConfig)}
+        config["hidden"] = tuple(config["hidden"])
+        return cls(
+            mlp=MlpParams(weights=p["weights"], biases=p["biases"]),
+            input_width=int(p["input_width"]),
+            num_classes=num_classes,
+            t_min=p["t_min"],
+            config=PtsTrainConfig(**config),
+        )
 
 
 def pts_constant_model(temperature: float, num_classes: int, config: PtsTrainConfig | None = None) -> PtsModel:
@@ -265,10 +311,7 @@ def pts_constant_model(temperature: float, num_classes: int, config: PtsTrainCon
     cfg = config or PtsTrainConfig()
     widths = [cfg.topk, *cfg.hidden, 1]
     mlp = init_mlp(widths, seed=0)
-    for w in mlp.weights:
-        w[:] = 0.0
-    for b in mlp.biases:
-        b[:] = 0.0
+    mlp.flat[:] = 0.0
     mlp.biases[-1][0] = softplus_inverse(temperature - T_MIN)
     return PtsModel(mlp=mlp, input_width=cfg.topk, num_classes=num_classes, config=cfg)
 
@@ -279,21 +322,13 @@ def pts_temperature_batch(logits: np.ndarray, model: PtsModel) -> np.ndarray:
     return model.t_min + softplus(raw)
 
 
-def pts_temperature(logits: np.ndarray, model: PtsModel) -> float:
-    return float(pts_temperature_batch(np.asarray(logits, dtype=float)[None, :], model)[0])
-
-
 def apply_pts(logits: np.ndarray, model: PtsModel) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
     # logits near the float range can overflow the network to inf or NaN;
     # _tempered_softmax turns a non-finite T into NumericalError
     with np.errstate(over="ignore", invalid="ignore"):
         t = pts_temperature_batch(z, model)
-    probs = _tempered_softmax(z, t[:, None])
-    return probs[0] if single else probs
+    return _tempered_softmax(z, t[:, None])
 
 
 def _pts_q_batch(mlp: MlpParams, zs: np.ndarray, z: np.ndarray, pred: np.ndarray, t_min: float):
@@ -332,18 +367,15 @@ def _pts_backward_q(
     dq_dt = -(q / (t * t)) * (z.ravel().take(_flat_index(z, pred)) - expected_z)
     # dT/draw = sigmoid(raw)
     draw = dq * dq_dt * expit(raw)
-    grads, _ = backward_batch(mlp, cache, draw, out=out)
-    return grads
+    return backward_batch(mlp, cache, draw, out=out)
 
 
-def _ece_loss_and_dq(q: np.ndarray, correct: np.ndarray, num_bins: int, frozen_bins: np.ndarray | None = None):
+def _ece_loss_and_dq(q: np.ndarray, correct: np.ndarray, num_bins: int):
     """Squared-gap binned loss with bin memberships and bin accuracies frozen;
-    the gradient flows only through the per-bin mean of Q."""
+    the gradient flows only through the per-bin mean of Q. Returns the loss,
+    dL/dQ and each sample's bin."""
     beta = q.shape[0]
-    idx = frozen_bins if frozen_bins is not None else np.clip(np.ceil(q * num_bins).astype(int), 1, num_bins) - 1
-    counts = np.bincount(idx, minlength=num_bins)
-    sum_q = np.bincount(idx, weights=q, minlength=num_bins)
-    sum_a = np.bincount(idx, weights=correct.astype(float), minlength=num_bins)
+    idx, counts, sum_q, sum_a = equal_width_totals(q, correct, num_bins)
     safe = np.maximum(counts, 1)
     mean_q = sum_q / safe
     acc = sum_a / safe

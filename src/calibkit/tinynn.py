@@ -97,20 +97,15 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     return h[:, 0], cache
 
 
-def forward(params: MlpParams, x: np.ndarray) -> tuple[float, list]:
-    out, cache = forward_batch(params, np.asarray(x, dtype=float)[None, :])
-    return float(out[0]), cache
-
-
 def backward_batch(
     params: MlpParams, cache: list, upstream: np.ndarray, out: MlpParams | None = None
-) -> tuple[MlpParams, np.ndarray]:
-    """Exact reverse-mode gradients, summed over the batch.
+) -> MlpParams:
+    """Exact reverse-mode parameter gradients, summed over the batch.
 
     upstream is the (B,) gradient of the loss w.r.t. the scalar outputs.
-    ReLU subgradient at 0 is 0. Also returns the gradient w.r.t. the input.
-    The gradients are written into out when given, so a training loop can
-    reuse one buffer; otherwise into new parameters.
+    ReLU subgradient at 0 is 0. The gradients are written into out when
+    given, so a training loop can reuse one buffer; otherwise into new
+    parameters.
     """
     upstream = np.asarray(upstream, dtype=float)
     grads = zeros_like_params(params) if out is None else out
@@ -118,15 +113,10 @@ def backward_batch(
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(cache[i].T, delta, out=grads.weights[i])
         np.sum(delta, axis=0, out=grads.biases[i])
-        delta = delta @ params.weights[i].T
         if i > 0:
+            delta = delta @ params.weights[i].T
             delta *= cache[i] > 0.0
-    return grads, delta
-
-
-def backward(params: MlpParams, cache: list, upstream: float) -> tuple[MlpParams, np.ndarray]:
-    grads, dx = backward_batch(params, cache, np.array([upstream]))
-    return grads, dx[0]
+    return grads
 
 
 def adam_init(params: MlpParams) -> AdamState:

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from calibkit.core import (
-    Dataset,
-    LogitRecord,
-    PredictionRecord,
-    Predictions,
-    softmax,
-    sorted_topk,
-    sorted_topk_matrix,
-    top_label,
-)
+from calibkit.core import Dataset, Predictions, softmax, sorted_topk_matrix
 
 
 def test_softmax_symmetry():
@@ -45,6 +36,12 @@ def test_softmax_preserves_argmax_randomized():
     assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-9
 
 
+def top_label(probs):
+    """Predicted class and confidence of a single probability row."""
+    preds = Predictions.from_probs(np.array([probs]), np.array([0]))
+    return int(preds.predicted_class[0]), float(preds.confidence[0])
+
+
 def test_top_label():
     assert top_label([0.2, 0.7, 0.1]) == (1, 0.7)
 
@@ -60,15 +57,18 @@ def test_top_label_composes_with_softmax():
 
 
 def test_sorted_topk_basic():
-    assert np.array_equal(sorted_topk([3.0, 1.0, 2.0], 2), [3.0, 2.0])
+    z = np.array([[3.0, 1.0, 2.0], [0.0, -1.0, 4.0]])
+    assert np.array_equal(sorted_topk_matrix(z, 2), [[3.0, 2.0], [4.0, 0.0]])
 
 
 def test_sorted_topk_pads_with_smallest():
-    assert np.array_equal(sorted_topk([3.0, 1.0, 2.0], 5), [3.0, 2.0, 1.0, 1.0, 1.0])
+    z = np.array([[3.0, 1.0, 2.0], [-2.0, 7.0, 0.5]])
+    assert np.array_equal(sorted_topk_matrix(z, 5), [[3.0, 2.0, 1.0, 1.0, 1.0], [7.0, 0.5, -2.0, -2.0, -2.0]])
 
 
 def test_sorted_topk_duplicates():
-    assert np.array_equal(sorted_topk([5.0, 5.0, 0.0], 2), [5.0, 5.0])
+    z = np.array([[5.0, 5.0, 0.0], [1.0, 1.0, 1.0]])
+    assert np.array_equal(sorted_topk_matrix(z, 2), [[5.0, 5.0], [1.0, 1.0]])
 
 
 def test_sorted_topk_properties_randomized():
@@ -76,9 +76,9 @@ def test_sorted_topk_properties_randomized():
     for _ in range(200):
         c = rng.integers(2, 15)
         k = int(rng.integers(1, 14))
-        out = sorted_topk(rng.normal(size=c), k)
-        assert out.shape == (k,)
-        assert np.all(np.diff(out) <= 0)
+        out = sorted_topk_matrix(rng.normal(size=(3, c)), k)
+        assert out.shape == (3, k)
+        assert np.all(np.diff(out, axis=1) <= 0)
 
 
 def test_sorted_topk_matrix_matches_rowwise():
@@ -86,16 +86,13 @@ def test_sorted_topk_matrix_matches_rowwise():
     z = rng.normal(size=(50, 6))
     m = sorted_topk_matrix(z, 10)
     for i in range(50):
-        assert np.array_equal(m[i], sorted_topk(z[i], 10))
+        row = sorted(z[i], reverse=True)
+        assert np.array_equal(m[i], row + [row[-1]] * 4)
 
 
-def test_logit_record_validation():
+def test_sorted_topk_matrix_rejects_k_below_one():
     with pytest.raises(ValueError):
-        LogitRecord(label=2, logits=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        LogitRecord(label=0, logits=np.array([np.inf, 0.0]))
-    with pytest.raises(ValueError):
-        LogitRecord(label=0, logits=np.array([1.0]))
+        sorted_topk_matrix(np.zeros((2, 3)), 0)
 
 
 def test_dataset_validation():
@@ -108,21 +105,10 @@ def test_dataset_validation():
     assert len(ds) == 2
 
 
-def test_dataset_round_trips_records():
-    ds = Dataset(labels=np.array([1, 0]), logits=np.array([[1.0, 2.0], [3.0, 0.0]]))
-    back = Dataset.from_records(list(ds.records()))
-    assert np.array_equal(back.labels, ds.labels)
-    assert np.array_equal(back.logits, ds.logits)
-
-
-def test_predictions_from_probs_and_records():
+def test_predictions_from_probs():
     probs = np.array([[0.2, 0.8], [0.9, 0.1]])
     labels = np.array([1, 1])
     preds = Predictions.from_probs(probs, labels)
     assert np.array_equal(preds.predicted_class, [1, 0])
     assert np.allclose(preds.confidence, [0.8, 0.9])
     assert np.array_equal(preds.correct, [True, False])
-    records = preds.to_records()
-    assert records[0] == PredictionRecord(1, 0.8, True)
-    again = Predictions.from_records(records)
-    assert np.array_equal(again.confidence, preds.confidence)

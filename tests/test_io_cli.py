@@ -308,3 +308,49 @@ def test_cli_rejects_non_positive_numeric_flags(tmp_path, capsys, flags):
     assert main(argv + extra) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: argument {extra[0]}: expected ")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"kind": "ts", "params": {"temperature": -1.0}},
+        {"kind": "ets", "params": {"temperature": 1.0, "weights": [0.5, 0.5]}},
+    ],
+    ids=["ts_negative_temperature", "ets_two_weights"],
+)
+@pytest.mark.parametrize("command", ["apply", "eval"])
+def test_cli_model_failing_its_own_checks_exit_2(tmp_path, capsys, params, command):
+    _, test = write_sets(tmp_path, n=50)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"version": 1, "num_classes": 10, **params}))
+    argv = [command, "--model", str(model), "--test", test, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"data error: {model}: malformed {params['kind']} model: ")
+
+
+@pytest.mark.parametrize("method,rows", [("histbin", 5), ("pbmc", 29)])
+def test_cli_fit_binning_on_too_few_rows_exit_2(tmp_path, capsys, method, rows):
+    val = tmp_path / "val.csv"
+    write_logits(small_dataset(n=rows), val)
+    argv = ["fit", "--method", method, "--val", str(val), "--out", str(tmp_path / "m.json"), "--bins", "10"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error: ") and f"got {rows}" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("method", ["ts", "ets", "irova_ts", "pbmc"])
+def test_cli_fit_temperature_on_overflowing_logits_exit_3(tmp_path, capsys, method):
+    # the validation NLL overflows to inf at every T in the search range
+    rng = np.random.default_rng(0)
+    huge = Dataset(labels=rng.integers(0, 4, size=200), logits=rng.normal(size=(200, 4)) * 1e307)
+    val = tmp_path / "huge.csv"
+    write_logits(huge, val)
+    argv = ["fit", "--method", method, "--val", str(val), "--out", str(tmp_path / "m.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print more stderr lines
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: ")
+    assert not (tmp_path / "m.json").exists()

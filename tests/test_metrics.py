@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from calibkit.core import Dataset, PredictionRecord, Predictions
+from calibkit.core import Dataset, Predictions
 from calibkit.metrics import (
     accuracy,
     bin_equal_width,
     ece,
     ece_equal_mass,
     ece_kde,
+    equal_width_bins,
     nll,
     reliability_data,
 )
@@ -60,6 +61,30 @@ def test_bin_equal_width_boundaries():
     # confidence exactly 0 goes into the first bin
     preds0 = Predictions(np.zeros(1, dtype=int), np.array([0.0]), np.array([False]))
     assert bin_equal_width(preds0, 4)[0].count == 1
+
+
+# (M, m) pairs where ceil((m / M) * M) is m + 1, not m
+EDGE_CASES = [(25, 7), (25, 14), (50, 14), (50, 28)]
+
+
+@pytest.mark.parametrize("num_bins,m", EDGE_CASES)
+def test_confidence_on_an_edge_lands_in_the_bin_it_closes(num_bins, m):
+    c = m / num_bins
+    preds = Predictions(np.zeros(1, dtype=int), np.array([c]), np.array([True]))
+    for stats in (bin_equal_width(preds, num_bins), ece(preds, num_bins).bins):
+        (hit,) = [s for s in stats if s.count]
+        assert hit.bin_index == m and hit.upper == c
+
+
+def test_equal_width_bins_match_searchsorted_on_float_edges():
+    rng = np.random.default_rng(3)
+    for num_bins in range(1, 61):
+        edges = np.arange(num_bins + 1) / num_bins
+        conf = np.concatenate(
+            [rng.uniform(size=500), edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0), [-0.0, -1e-300]]
+        )
+        expected = np.searchsorted(np.arange(1, num_bins) / num_bins, conf, side="left")
+        assert np.array_equal(equal_width_bins(conf, num_bins), expected), num_bins
 
 
 def test_bin_equal_width_rejects_zero_bins():

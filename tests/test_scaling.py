@@ -11,6 +11,7 @@ from calibkit.scaling import (
     PtsTrainConfig,
     TsModel,
     _ece_loss_and_dq,
+    _ets_ece_objective,
     _pts_backward_q,
     _pts_q_batch,
     apply_ets,
@@ -22,7 +23,7 @@ from calibkit.scaling import (
     golden_section_minimize,
     pts_constant_model,
     pts_ece_loss,
-    pts_temperature,
+    pts_temperature_batch,
     softplus,
     softplus_inverse,
 )
@@ -122,8 +123,7 @@ def test_pts_constant_model_matches_temperature_scaling():
     z = np.random.default_rng(2).normal(size=(50, 10)) * 3.0
     for t in (0.5, 1.0, 2.5):
         model = pts_constant_model(t, num_classes=10)
-        temps = np.array([pts_temperature(row, model) for row in z])
-        assert np.allclose(temps, t, atol=1e-12)
+        assert np.allclose(pts_temperature_batch(z, model), t, atol=1e-12)
         assert np.allclose(apply_pts(z, model), apply_temperature(z, t))
 
 
@@ -132,7 +132,7 @@ def test_apply_pts_single_row_matches_batch():
     model = fit_pts(ds, PtsTrainConfig(steps=50, seed=7))
     batch = apply_pts(ds.logits[:5], model)
     for i in range(5):
-        assert np.allclose(apply_pts(ds.logits[i], model), batch[i])
+        assert np.allclose(apply_pts(ds.logits[i : i + 1], model)[0], batch[i])
 
 
 def test_ece_loss_and_dq_hand_value():
@@ -145,6 +145,20 @@ def test_ece_loss_and_dq_hand_value():
     assert loss == pytest.approx((1 / 3) * gap_lo**2 + (2 / 3) * gap_hi**2)
     assert np.array_equal(idx, [0, 1, 1])
     assert dq == pytest.approx((2 / 3) * np.array([0.3 - 0.0, 0.8 - 0.5, 0.8 - 0.5]))
+
+
+@pytest.mark.parametrize("num_bins,m", [(25, 7), (25, 14), (50, 14), (50, 28)])
+def test_binned_losses_put_an_edge_confidence_in_the_bin_it_closes(num_bins, m):
+    # c = m/M closes bin m, which also holds the interior point (m - 0.5)/M
+    c, below = m / num_bins, (m - 0.5) / num_bins
+    q, correct = np.array([c, below]), np.array([True, False])
+    expected = (0.5 - (c + below) / 2) ** 2
+    loss, _, idx = _ece_loss_and_dq(q, correct, num_bins)
+    assert np.array_equal(idx, [m - 1, m - 1])
+    assert loss == pytest.approx(expected, rel=1e-12)
+    # weights (1, 0, 0) make the ETS confidence exactly q
+    objective = _ets_ece_objective(q, np.zeros(2), correct, num_bins, num_classes=4)
+    assert objective(np.array([1.0, 0.0, 0.0]))[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_pts_gradient_matches_finite_differences():
@@ -193,8 +207,7 @@ def test_pts_preserves_argmax():
 def test_pts_temperatures_respect_floor():
     ds = generate(SynthConfig(num_samples=500, regime="heteroscedastic", seed=14))
     model = fit_pts(ds, PtsTrainConfig(steps=100, seed=14))
-    temps = np.array([pts_temperature(row, model) for row in ds.logits[:100]])
-    assert np.all(temps >= model.t_min)
+    assert np.all(pts_temperature_batch(ds.logits[:100], model) >= model.t_min)
 
 
 def test_pts_training_reduces_objective():

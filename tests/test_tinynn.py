@@ -5,9 +5,7 @@ from calibkit.tinynn import (
     MlpParams,
     adam_init,
     adam_step,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     grad_check,
     init_mlp,
@@ -25,14 +23,14 @@ def hand_net():
 
 def test_forward_hand_value():
     # x = [1, 2]: pre-act [2.0, 4.0], relu keeps both, out = 2.0 - 2.0 + 0.25
-    out, _ = forward(hand_net(), np.array([1.0, 2.0]))
-    assert out == pytest.approx(0.25)
+    out, _ = forward_batch(hand_net(), np.array([[1.0, 2.0]]))
+    assert out[0] == pytest.approx(0.25)
 
 
 def test_forward_relu_clips_negative_preactivation():
     # x = [-1, 0]: pre-act [-1.0, 2.0] -> [0, 2.0], out = -1.0 + 0.25
-    out, _ = forward(hand_net(), np.array([-1.0, 0.0]))
-    assert out == pytest.approx(-0.75)
+    out, _ = forward_batch(hand_net(), np.array([[-1.0, 0.0]]))
+    assert out[0] == pytest.approx(-0.75)
 
 
 def test_forward_batch_matches_single():
@@ -41,8 +39,8 @@ def test_forward_batch_matches_single():
     xs = rng.normal(size=(20, 4))
     outs, _ = forward_batch(params, xs)
     for i in range(20):
-        single, _ = forward(params, xs[i])
-        assert outs[i] == pytest.approx(single, abs=1e-12)
+        single, _ = forward_batch(params, xs[i : i + 1])
+        assert outs[i] == pytest.approx(single[0], abs=1e-12)
 
 
 def test_forward_rejects_wrong_width():
@@ -75,7 +73,7 @@ def test_check_finite():
 def sum_squared_loss(params, xs):
     """loss = mean(out^2); gradient via the batched backward pass."""
     outs, cache = forward_batch(params, xs)
-    grads, _ = backward_batch(params, cache, 2.0 * outs / xs.shape[0])
+    grads = backward_batch(params, cache, 2.0 * outs / xs.shape[0])
     return float((outs**2).mean()), grads
 
 
@@ -105,23 +103,6 @@ def test_gradcheck_flags_corrupted_gradient():
         return loss, grads
 
     assert grad_check(params, corrupted).max_rel_error > 1e-2
-
-
-def test_backward_input_gradient_finite_difference():
-    rng = np.random.default_rng(6)
-    params = init_mlp([4, 3, 1], rng=rng)
-    for b in params.biases:
-        b += rng.normal(scale=0.2, size=b.shape)
-    x = rng.normal(size=4)
-    out, cache = forward(params, x)
-    _, dx = backward(params, cache, 1.0)
-    h = 1e-6
-    for j in range(4):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fd = (forward(params, xp)[0] - forward(params, xm)[0]) / (2 * h)
-        assert dx[j] == pytest.approx(fd, abs=1e-6)
 
 
 def test_adam_first_step_hand_value():
