@@ -20,7 +20,10 @@ def pav(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray | None = None) -> np
     """Weighted least-squares nondecreasing fit of ys over sorted xs.
 
     Classic pool-adjacent-violators: O(n) stack of blocks merged whenever a
-    weighted block mean drops below its predecessor.
+    weighted block mean drops below its predecessor. The loop streams Python
+    floats from memoryviews (no list copy of the input) and keeps the top
+    block in locals, so merging a point into it touches no list. A NaN mean
+    never compares <=, so it never merges.
     """
     ys = np.asarray(ys, dtype=float)
     n = ys.shape[0]
@@ -35,20 +38,29 @@ def pav(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray | None = None) -> np
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
 
+    y_iter = iter(memoryview(np.ascontiguousarray(ys)))
+    w_iter = iter(memoryview(np.ascontiguousarray(w)))
+    # blocks below the top one
     means: list[float] = []
     sizes: list[int] = []
     wsums: list[float] = []
-    for i in range(n):
-        means.append(ys[i])
-        wsums.append(w[i])
-        sizes.append(1)
-        while len(means) > 1 and means[-1] <= means[-2]:
-            m2, w2, s2 = means.pop(), wsums.pop(), sizes.pop()
+    # the top block: mean, weight, size
+    m2, w2, s2 = next(y_iter), next(w_iter), 1
+    for y, wy in zip(y_iter, w_iter):
+        if not y <= m2:
+            means.append(m2)
+            wsums.append(w2)
+            sizes.append(s2)
+            m2, w2, s2 = y, wy, 1
+            continue
+        wt = w2 + wy
+        m2, w2, s2 = (m2 * w2 + y * wy) / wt, wt, s2 + 1
+        while means and m2 <= means[-1]:
             m1, w1, s1 = means.pop(), wsums.pop(), sizes.pop()
             wt = w1 + w2
-            means.append((m1 * w1 + m2 * w2) / wt)
-            wsums.append(wt)
-            sizes.append(s1 + s2)
+            m2, w2, s2 = (m1 * w1 + m2 * w2) / wt, wt, s1 + s2
+    means.append(m2)
+    sizes.append(s2)
     return np.repeat(means, sizes)
 
 
@@ -111,6 +123,11 @@ def _bin_lookup(edges: np.ndarray, conf: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, conf, side="left")
 
 
+def _check_bin_outputs(edges: np.ndarray, outputs: np.ndarray) -> None:
+    if len(outputs) != len(edges) + 1:
+        raise ValueError(f"{len(outputs)} bin outputs for {len(edges)} internal edges")
+
+
 def _replace_top_confidence(probs: np.ndarray, new_top: np.ndarray, preserve_argmax: bool) -> np.ndarray:
     """Rebuild full probability vectors around a recalibrated top-label score:
     the non-top entries are rescaled to share 1 - new_top proportionally."""
@@ -139,6 +156,9 @@ class HistBinModel:
     num_classes: int
 
     kind = "histbin"
+
+    def __post_init__(self):
+        _check_bin_outputs(self.edges, self.outputs)
 
     def apply_confidence(self, conf: np.ndarray) -> np.ndarray:
         return self.outputs[_bin_lookup(self.edges, np.asarray(conf, dtype=float))]
@@ -174,6 +194,10 @@ class IrovaModel:
     num_classes: int
 
     kind = "irova"
+
+    def __post_init__(self):
+        if len(self.maps) != self.num_classes:
+            raise ValueError(f"{len(self.maps)} isotonic maps for {self.num_classes} classes")
 
     def apply_to_probs(self, probs: np.ndarray) -> np.ndarray:
         scores = np.column_stack([self.maps[c](probs[:, c]) for c in range(self.num_classes)])
@@ -213,6 +237,10 @@ class IrmModel:
     num_classes: int = 2
 
     kind = "irm"
+
+    def __post_init__(self):
+        if not self.strictness > 0:
+            raise ValueError(f"strictness must be positive, got {self.strictness}")
 
     def apply_to_probs(self, probs: np.ndarray) -> np.ndarray:
         scores = self.shared_map(probs) + self.strictness * probs
@@ -280,6 +308,11 @@ class PbmcModel:
     num_classes: int
 
     kind = "pbmc"
+
+    def __post_init__(self):
+        if not self.temperature > 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        _check_bin_outputs(self.edges, self.outputs)
 
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         probs = apply_temperature(logits, self.temperature)

@@ -23,7 +23,7 @@ from .io_files import (
     write_json,
     write_text_atomic,
 )
-from .scaling import PtsTrainConfig
+from .scaling import LOSSES, PtsTrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -163,9 +163,18 @@ def _write_rows_csv(rows: list[dict], path: Path) -> None:
     write_text_atomic("\n".join(lines) + "\n", path)
 
 
+def _check_losses(methods: list[str], losses: list[str] | None) -> None:
+    """ETS and PTS train only on the losses in scaling.LOSSES."""
+    bad = [loss for loss in losses or () if loss not in LOSSES]
+    if bad and {"ets", "pts"} & set(methods):
+        expected = " or ".join(LOSSES)
+        raise UsageError(f"unknown training loss(es) for ets and pts: {', '.join(bad)} (expected {expected})")
+
+
 def cmd_fit(args) -> int:
     if args.method not in experiments.CALIBRATORS:
         raise UsageError(f"unknown calibrator kind {args.method!r}")
+    _check_losses([args.method], args.losses)
     loss = args.losses[0] if args.losses else None
     val = read_logits(args.val)
     model = experiments.fit_method(
@@ -176,8 +185,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    model = load_model(args.model)
     test = read_logits(args.test)
+    model = load_model(args.model, num_classes=test.num_classes)
     probs = model.apply_probs(test.logits)
     preds = Predictions.from_probs(probs, test.labels)
     lines = ["predicted_class,confidence"]
@@ -188,8 +197,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
     test = read_logits(args.test)
+    model = load_model(args.model, num_classes=test.num_classes)
     report = {
         "schema_version": 1,
         "num_classes": test.num_classes,
@@ -231,6 +240,7 @@ def cmd_experiment(args) -> int:
         rows = experiments.run_data_efficiency(args.fractions, cfg, methods=methods, seed=args.seed)
     else:
         methods = args.methods or ["ets", "pts"]
+        _check_losses(methods, args.losses)
         rows = experiments.run_loss_ablation(methods, args.losses, cfg, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

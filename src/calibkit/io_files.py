@@ -151,31 +151,37 @@ def model_to_dict(model, num_classes: int | None = None) -> dict:
     return {"kind": model.kind, "version": SCHEMA_VERSION, "num_classes": num_classes, "params": model.to_params()}
 
 
-def model_from_dict(doc: dict):
+def model_from_dict(doc: dict, num_classes: int | None = None):
     """Rebuild a model from its file document. A missing field, a wrong type
-    or a value the model rejects is a DataFormatError."""
+    or a value the model rejects is a DataFormatError, and so is a document
+    for other than num_classes classes when num_classes is given."""
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if not isinstance(kind, str) or kind not in CALIBRATORS:
         raise DataFormatError(f"unknown model kind {kind!r}")
     if doc.get("version") != SCHEMA_VERSION:
         raise DataFormatError(f"unsupported model version {doc.get('version')!r}")
     try:
-        return CALIBRATORS[kind][0].from_params(doc["params"], int(doc["num_classes"]))
+        model_classes = int(doc["num_classes"])
+        model = CALIBRATORS[kind][0].from_params(doc["params"], model_classes)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed {kind} model: {exc}") from exc
+    if num_classes is not None and model_classes != num_classes:
+        raise DataFormatError(f"{kind} model is for {model_classes} classes, the data has {num_classes}")
+    return model
 
 
 def save_model(model, path: str | Path, num_classes: int | None = None) -> None:
     write_json(model_to_dict(model, num_classes), path)
 
 
-def load_model(path: str | Path):
+def load_model(path: str | Path, num_classes: int | None = None):
+    """Read a model file; see model_from_dict for num_classes."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        return model_from_dict(doc)
+        return model_from_dict(doc, num_classes)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

@@ -26,6 +26,8 @@ from .tinynn import (
 T_MIN = 1e-2
 LOG_T_RANGE = (math.log(1e-2), math.log(1e2))
 GOLDEN_TOL = 1e-4
+# the training losses of ETS and PTS
+LOSSES = ("mse", "ece")
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -89,11 +91,17 @@ class TsModel:
         return apply_temperature(logits, self.temperature)
 
 
-def _nll_at_temperature(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
+def _nll_at_temperature(
+    logits: np.ndarray, row_max: np.ndarray, label_logits: np.ndarray, temperature: float
+) -> float:
+    """Mean NLL of softmax(logits / T) at the labels, given each row's largest
+    logit and its label's logit. For T > 0 rounding is monotone, so
+    row_max / T is exactly the row max of logits / T."""
+    shift = row_max / temperature
     z = logits / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    nll = float(-log_probs[np.arange(len(labels)), labels].mean())
+    z -= shift[:, None]
+    np.exp(z, out=z)
+    nll = float(-(label_logits / temperature - shift - np.log(z.sum(axis=1))).mean())
     if not math.isfinite(nll):
         raise NumericalError(f"validation NLL is not finite at temperature {temperature:.6g}")
     return nll
@@ -107,8 +115,11 @@ def fit_ts(dataset: Dataset) -> TsModel:
     """Learn T by minimizing validation NLL; golden-section search on log T."""
     if np.unique(dataset.labels).size == 1:
         warnings.warn("dataset contains a single class; temperature fit is degenerate")
+    logits = dataset.logits
+    row_max = logits.max(axis=1)
+    label_logits = logits[np.arange(len(dataset)), dataset.labels]
     log_t = golden_section_minimize(
-        lambda u: _nll_at_temperature(dataset.logits, dataset.labels, math.exp(u)),
+        lambda u: _nll_at_temperature(logits, row_max, label_logits, math.exp(u)),
         *LOG_T_RANGE,
     )
     return TsModel(temperature=math.exp(log_t))
@@ -201,7 +212,7 @@ def _ets_ece_objective(q1: np.ndarray, q2: np.ndarray, correct: np.ndarray, num_
 def fit_ets(dataset: Dataset, loss: str = "mse", num_bins: int = 10) -> EtsModel:
     """T from fit_ts; weights by simplex grid search (0.01) plus local
     refinement (0.001) minimizing mse to one-hot labels or the squared-gap ECE."""
-    if loss not in ("mse", "ece"):
+    if loss not in LOSSES:
         raise ValueError("loss must be 'mse' or 'ece'")
     t = fit_ts(dataset).temperature
     z = dataset.logits
@@ -260,7 +271,7 @@ class PtsTrainConfig:
     def __post_init__(self):
         if min(self.learning_rate, self.batch_size, self.steps, self.num_bins, self.topk) <= 0:
             raise ValueError("all training-config values must be positive")
-        if self.loss not in ("ece", "mse"):
+        if self.loss not in LOSSES:
             raise ValueError("loss must be 'ece' or 'mse'")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden widths must be positive")
@@ -277,6 +288,20 @@ class PtsModel:
     config: PtsTrainConfig = field(default_factory=PtsTrainConfig)
 
     kind = "pts"
+
+    def __post_init__(self):
+        ws, bs = self.mlp.weights, self.mlp.biases
+        if not ws or len(bs) != len(ws) or any(w.ndim != 2 or b.shape != w.shape[1:] for w, b in zip(ws, bs)):
+            raise ValueError("each layer needs a weight matrix and one bias per output unit")
+        widths = self.mlp.widths
+        if any(w.shape[0] != fan_in for w, fan_in in zip(ws, widths)):
+            raise ValueError(f"layer shapes do not chain: {[w.shape for w in ws]}")
+        if widths[0] != self.input_width:
+            raise ValueError(f"input_width {self.input_width} does not match the first layer's width {widths[0]}")
+        if widths[-1] != 1:
+            raise ValueError(f"the last layer must have width 1, got {widths[-1]}")
+        if not self.t_min > 0:  # T = t_min + softplus(raw) must stay positive
+            raise ValueError(f"t_min must be positive, got {self.t_min}")
 
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         return apply_pts(logits, self)

@@ -68,6 +68,88 @@ def test_pav_output_is_nondecreasing():
     assert np.all(np.diff(fitted) >= -1e-12)
 
 
+def list_pav(xs, ys, weights=None):
+    """The list-based pool-adjacent-violators loop that pav replaced, kept as
+    its bitwise oracle: pav must make the same merges with the same
+    arithmetic."""
+    ys = np.asarray(ys, dtype=float)
+    n = ys.shape[0]
+    if n == 0:
+        return np.empty(0)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    means, sizes, wsums = [], [], []
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            means.append(ys[i])
+            wsums.append(w[i])
+            sizes.append(1)
+            while len(means) > 1 and means[-1] <= means[-2]:
+                m2, w2, s2 = means.pop(), wsums.pop(), sizes.pop()
+                m1, w1, s1 = means.pop(), wsums.pop(), sizes.pop()
+                wt = w1 + w2
+                means.append((m1 * w1 + m2 * w2) / wt)
+                wsums.append(wt)
+                sizes.append(s1 + s2)
+    return np.repeat(means, sizes)
+
+
+def assert_pav_matches_oracle(ys, weights=None):
+    xs = np.arange(len(ys), dtype=float)
+    expected = list_pav(xs, ys, weights)
+    with np.errstate(all="ignore"):
+        got = pav(xs, ys, weights)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+NAN, INF = float("nan"), float("inf")
+PAV_CASES = {
+    "one_point": ([0.3], None),
+    "ties": ([0.5, 0.5, 0.5, 0.2, 0.2, 0.9, 0.9, 0.1], None),
+    "weighted": ([0.0, 1.0, 0.3, 0.7, 0.1], [1.0, 3.0, 0.5, 2.0, 7.0]),
+    "tiny_weights": ([1.0, 0.0, 0.5], [5e-324, 1e-300, 2.5e-310]),
+    "huge_weights": ([0.9, 0.1, 0.4, 0.2], [1e308, 1e308, 5e307, 1.7e308]),
+    "inf_weight": ([0.9, 0.1, 0.4], [1.0, INF, 1.0]),
+    "nan_values": ([0.2, NAN, 0.1, 0.3, NAN, NAN, 0.0], None),
+    "nan_first": ([NAN, 0.5, 0.4], None),
+    "infinities": ([INF, 1.0, -INF, 2.0, INF, INF, -INF], None),
+    "inf_then_neg_inf": ([INF, -INF], [2.0, 1.0]),
+    "huge_values": ([1e308, -1e308, 1.7e308, 1.7e308], [3.0, 1.0, 1.0, 2.0]),
+    "cascade": ([5.0, 4.0, 6.0, 3.0, 7.0, 2.0, 8.0, 1.0, 0.0], None),
+    "all_decreasing": (list(np.linspace(1.0, 0.0, 50)), None),
+    "binary_targets": (list((np.random.default_rng(5).random(500) < np.linspace(0, 1, 500)).astype(float)), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAV_CASES))
+def test_pav_matches_list_oracle_bitwise(case):
+    ys, weights = PAV_CASES[case]
+    assert_pav_matches_oracle(np.array(ys), None if weights is None else np.array(weights))
+
+
+def test_pav_reads_strided_and_integer_inputs():
+    ys = np.random.default_rng(6).normal(size=(40, 3))
+    assert pav(np.arange(40.0), ys[:, 1]).tobytes() == list_pav(np.arange(40.0), ys[:, 1].copy()).tobytes()
+    ints = [3, 1, 2, 2, 0, 5]
+    assert pav(np.arange(6.0), ints).tobytes() == list_pav(np.arange(6.0), ints).tobytes()
+
+
+def test_pav_matches_list_oracle_on_arbitrary_inputs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0]) | st.floats(allow_nan=True, allow_infinity=True)
+    weight = st.sampled_from([1.0, 2.0, 0.5]) | st.floats(min_value=5e-324, allow_infinity=True)
+    points = st.lists(st.tuples(value, weight), min_size=1, max_size=60)
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(points, st.booleans())
+    def check(pts, weighted):
+        ys = np.array([y for y, _ in pts])
+        assert_pav_matches_oracle(ys, np.array([w for _, w in pts]) if weighted else None)
+
+    check()
+
+
 def test_pav_validation():
     with pytest.raises(ValueError):
         pav(np.array([1.0, 0.0]), np.array([0.0, 1.0]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from dataclasses import replace
@@ -9,6 +10,7 @@ from calibkit.binning import fit_hist_binning, fit_irm, fit_irova, fit_irova_ts,
 from calibkit.cli import main
 from calibkit.core import Dataset
 from calibkit.errors import DataFormatError
+from calibkit.experiments import fit_method
 from calibkit.io_files import (
     canonical_json,
     load_model,
@@ -354,3 +356,143 @@ def test_cli_fit_temperature_on_overflowing_logits_exit_3(tmp_path, capsys, meth
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("numerical failure: ")
     assert not (tmp_path / "m.json").exists()
+
+
+def one_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    return err.count("\n") == 1 and err.startswith(prefix)
+
+
+@pytest.mark.parametrize("command", ["apply", "eval"])
+@pytest.mark.parametrize("kind", ["ts", "histbin", "irova", "pts"])
+def test_cli_apply_eval_reject_a_model_for_another_class_count(tmp_path, capsys, kind, command):
+    val, _ = write_sets(tmp_path, n=100)
+    model = str(tmp_path / "m.json")
+    assert main(["fit", "--method", kind, "--val", val, "--out", model, "--steps", "5"]) == 0
+    test = tmp_path / "test3.csv"
+    write_logits(generate(SynthConfig(num_samples=30, num_classes=3, seed=52)), test)
+    out = tmp_path / "out"
+    assert main([command, "--model", model, "--test", str(test), "--out", str(out)]) == 2
+    assert one_error_line(capsys, f"data error: {model}: {kind} model is for 10 classes, the data has 3")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--method", "ets", "--losses", "nll"],
+        ["fit", "--method", "pts", "--losses", "mse,hinge"],
+        ["experiment", "loss_ablation", "--losses", "ece,nll"],
+    ],
+    ids=" ".join,
+)
+def test_cli_rejects_an_unknown_training_loss(tmp_path, capsys, argv):
+    val, _ = write_sets(tmp_path, n=50)
+    paths = ["--val", val, "--out", str(tmp_path / "m.json")] if argv[0] == "fit" else ["--out", str(tmp_path / "exp")]
+    assert main(argv + paths) == 1
+    assert one_error_line(capsys, "error: unknown training loss(es) for ets and pts: ")
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "exp").exists()
+
+
+def test_cli_fit_ignores_losses_for_methods_without_one(tmp_path):
+    val, _ = write_sets(tmp_path, n=50)
+    assert main(["fit", "--method", "ts", "--val", val, "--out", str(tmp_path / "m.json"), "--losses", "nll"]) == 0
+
+
+def _pts_input_width_5(doc):
+    doc["params"]["input_width"] = 5
+
+
+def _pts_wide_output(doc):
+    p = doc["params"]
+    p["weights"][-1] = [row * 2 for row in p["weights"][-1]]
+    p["biases"][-1] = p["biases"][-1] * 2
+
+
+def _pts_unchained(doc):
+    doc["params"]["weights"][1].pop()
+
+
+def _pts_short_bias(doc):
+    doc["params"]["biases"][0].pop()
+
+
+def _set_param(name, value):
+    def edit(doc):
+        doc["params"][name] = value
+
+    return edit
+
+
+def _drop_a_map(doc):
+    doc["params"]["maps"].pop()
+
+
+def _drop_a_bin_output(doc):
+    doc["params"]["outputs"].pop()
+
+
+@pytest.mark.parametrize(
+    "kind,edit,message",
+    [
+        ("pts", _pts_input_width_5, "input_width 5 does not match the first layer's width 10"),
+        ("pts", _pts_wide_output, "the last layer must have width 1, got 2"),
+        ("pts", _pts_unchained, "layer shapes do not chain: [(10, 5), (4, 5), (5, 1)]"),
+        ("pts", _pts_short_bias, "each layer needs a weight matrix and one bias per output unit"),
+        ("pts", _set_param("t_min", -5.0), "t_min must be positive, got -5.0"),
+        ("irova", _drop_a_map, "9 isotonic maps for 10 classes"),
+        ("irova_ts", _drop_a_map, "9 isotonic maps for 10 classes"),
+        ("histbin", _drop_a_bin_output, "9 bin outputs for 9 internal edges"),
+        ("pbmc", _drop_a_bin_output, "9 bin outputs for 9 internal edges"),
+        ("pbmc", _set_param("temperature", -1.0), "temperature must be positive, got -1.0"),
+        ("irm", _set_param("strictness", -1.0), "strictness must be positive, got -1.0"),
+        ("irm", _set_param("strictness", "x"), "'>' not supported"),
+    ],
+    ids=[
+        "pts_input_width",
+        "pts_output_width",
+        "pts_unchained",
+        "pts_short_bias",
+        "pts_negative_t_min",
+        "irova_map_count",
+        "irova_ts_map_count",
+        "histbin_output_count",
+        "pbmc_output_count",
+        "pbmc_negative_temperature",
+        "irm_negative_strictness",
+        "irm_text_strictness",
+    ],
+)
+@pytest.mark.parametrize("command", ["apply", "eval"])
+def test_cli_model_with_inconsistent_params_exit_2(tmp_path, capsys, kind, edit, message, command):
+    val, test = write_sets(tmp_path, n=100)
+    model = tmp_path / "m.json"
+    assert main(["fit", "--method", kind, "--val", val, "--out", str(model), "--steps", "5"]) == 0
+    doc = json.loads(model.read_text())
+    edit(doc)
+    model.write_text(json.dumps(doc))
+    assert main([command, "--model", str(model), "--test", test, "--out", str(tmp_path / "out")]) == 2
+    assert one_error_line(capsys, f"data error: {model}: malformed {kind} model: {message}")
+
+
+# sha256 of the model files of seeded fits, recorded before pav and the TS
+# likelihood were optimised; both must give the same models bit for bit.
+GOLDEN_MODEL_FILES = {
+    "ts": "9c1c2d21db3ad497e6a02ea9f2d40f2b53de8db84b68591f6a5f497e35f2c044",
+    "irova": "a114c69c0357e49da941227004f82b611031846c9b08e1a057f0cc0a7a3ee40a",
+    "irm": "912b2e872971bb2ce370351d1e39f558c1adc1e272f2c325f36dd93d682c04cb",
+    "irova_ts": "9bcfcae70702651f06b009d80c0b37693d56af25287aefa82160ea5a3372d4e4",
+    "pbmc": "c0e1dc90023482cbdfc46559df3beb3fe6a83c25c532666540cbfae74bfabb70",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_fit_set():
+    return generate(SynthConfig(num_samples=2000, regime="heteroscedastic", seed=17))
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_MODEL_FILES))
+def test_model_file_matches_golden_hash(tmp_path, golden_fit_set, kind):
+    path = tmp_path / "m.json"
+    save_model(fit_method(kind, golden_fit_set, seed=17, num_bins=10), path, num_classes=10)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MODEL_FILES[kind]

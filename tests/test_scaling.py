@@ -7,11 +7,13 @@ from calibkit.core import Dataset, Predictions, softmax, sorted_topk_matrix
 from calibkit.errors import NumericalError
 from calibkit.metrics import ece
 from calibkit.scaling import (
+    LOG_T_RANGE,
     EtsModel,
     PtsTrainConfig,
     TsModel,
     _ece_loss_and_dq,
     _ets_ece_objective,
+    _nll_at_temperature,
     _pts_backward_q,
     _pts_q_batch,
     apply_ets,
@@ -61,6 +63,37 @@ def test_fit_ts_recovers_global_scale():
 def test_fit_ts_near_one_on_calibrated_data():
     ds = generate(SynthConfig(num_samples=20_000, regime="global_temp", scale=1.0, seed=3))
     assert fit_ts(ds).temperature == pytest.approx(1.0, abs=0.05)
+
+
+def reference_nll(logits, labels, temperature):
+    """The validation NLL as fit_ts computed it before the row max and the
+    label logits were hoisted out of the search: the bitwise oracle."""
+    z = logits / temperature
+    z = z - z.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(len(labels)), labels].mean())
+
+
+@pytest.mark.parametrize("scale", [1.0, 40.0, 1e-3])
+def test_nll_at_temperature_matches_reference_bitwise(scale):
+    ds = generate(SynthConfig(num_samples=3000, regime="heteroscedastic", seed=23))
+    logits = ds.logits * scale
+    row_max = logits.max(axis=1)
+    label_logits = logits[np.arange(len(ds)), ds.labels]
+    # 240 temperatures across the search range and a little beyond it
+    lo, hi = LOG_T_RANGE
+    for t in np.exp(np.linspace(lo - 0.5, hi + 0.5, 240)):
+        assert _nll_at_temperature(logits, row_max, label_logits, float(t)) == reference_nll(logits, ds.labels, t)
+
+
+def test_nll_at_temperature_overflow_raises():
+    rng = np.random.default_rng(0)
+    logits = rng.normal(size=(200, 4)) * 1e307
+    labels = rng.integers(0, 4, size=200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(reference_nll(logits, labels, 0.5))
+        with pytest.raises(NumericalError, match="validation NLL is not finite"):
+            _nll_at_temperature(logits, logits.max(axis=1), logits[np.arange(200), labels], 0.5)
 
 
 def test_fit_ts_warns_on_single_class():
