@@ -290,8 +290,8 @@ class IrovaTsModel:
         return cls(ts=TsModel.from_params(p, num_classes), irova=IrovaModel.from_params(p, num_classes))
 
 
-def fit_irova_ts(dataset: Dataset) -> IrovaTsModel:
-    ts = fit_ts(dataset)
+def fit_irova_ts(dataset: Dataset, ts: TsModel) -> IrovaTsModel:
+    """One-vs-all isotonic maps fitted on the given TS fit's probabilities."""
     scaled = ts.apply_probs(dataset.logits)
     irova = fit_irova_from_probs(scaled, dataset.labels, dataset.num_classes)
     return IrovaTsModel(ts=ts, irova=irova)

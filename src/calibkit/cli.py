@@ -10,11 +10,10 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments
 from .core import Predictions
 from .errors import DataFormatError, NumericalError
+from .metrics import KDE_MIN_SAMPLES
 from .io_files import (
     _fmt,
     load_model,
@@ -29,8 +28,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
-
-EXPERIMENTS = ("capacity", "bins", "data_efficiency", "loss_ablation")
 
 
 class UsageError(Exception):
@@ -70,15 +67,18 @@ def _int_list(text: str) -> list[int]:
 
 
 def _fraction_list(text: str) -> list[float]:
-    """Either a comma list (0.1,0.5,1.0) or a start:stop:step range (0.1:1.0:0.1)."""
+    """Either a comma list (0.1,0.5,1.0) or a start:stop:step range (0.1:1.0:0.1), each in (0, 1]."""
     try:
         if ":" in text:
             start, stop, step = (float(v) for v in text.split(":"))
-            n = int(round((stop - start) / step)) + 1
-            return [round(start + i * step, 12) for i in range(n)]
-        return [float(v) for v in text.split(",") if v]
-    except ValueError as exc:
-        raise UsageError(f"could not parse fractions {text!r}") from exc
+            values = [round(start + i * step, 12) for i in range(int(round((stop - start) / step)) + 1)]
+        else:
+            values = [float(v) for v in text.split(",") if v]
+    except (ValueError, ArithmeticError):
+        values = []
+    if values and all(0.0 < v <= 1.0 for v in values):
+        return values
+    raise argparse.ArgumentTypeError(f"expected fractions in (0, 1], got {text!r}")
 
 
 def _str_list(text: str) -> list[str]:
@@ -124,13 +124,14 @@ def build_parser() -> _Parser:
     add_train_flags(p_cmp, 100_000)
 
     p_exp = sub.add_parser("experiment", help="run a synthetic-oracle experiment")
-    p_exp.add_argument("name", choices=EXPERIMENTS)
+    p_exp.add_argument("name", choices=experiments.EXPERIMENTS)
     p_exp.add_argument("--out", required=True, help="output directory for CSV + JSON tables")
-    p_exp.add_argument("--widths", type=_int_list, default=[1, 2, 5, 10, 20])
-    p_exp.add_argument("--fractions", type=_fraction_list, default="0.1:1.0:0.1")
-    p_exp.add_argument("--losses", type=_str_list, default=["mse", "ece"])
-    p_exp.add_argument("--methods", type=_str_list, default=None)
+    p_exp.add_argument("--widths", type=_int_list)
+    p_exp.add_argument("--fractions", type=_fraction_list)
+    p_exp.add_argument("--losses", type=_str_list)
+    p_exp.add_argument("--methods", type=_str_list)
     add_train_flags(p_exp, 20_000)
+    p_exp.set_defaults(bins=None)  # the experiment's own default unless given
 
     return parser
 
@@ -140,7 +141,7 @@ def _pts_config(args) -> PtsTrainConfig:
         learning_rate=args.lr,
         batch_size=args.batch_size,
         steps=args.steps,
-        num_bins=args.bins[0],
+        num_bins=(args.bins or [10])[0],
         seed=args.seed,
         topk=args.topk,
     )
@@ -163,7 +164,13 @@ def _write_rows_csv(rows: list[dict], path: Path) -> None:
     write_text_atomic("\n".join(lines) + "\n", path)
 
 
-def _check_losses(methods: list[str], losses: list[str] | None) -> None:
+def _check_methods(methods) -> None:
+    unknown = [m for m in methods if m not in experiments.CALIBRATORS]
+    if unknown:
+        raise UsageError(f"unknown calibrator kind(s): {', '.join(unknown)}")
+
+
+def _check_losses(methods, losses: list[str] | None) -> None:
     """ETS and PTS train only on the losses in scaling.LOSSES."""
     bad = [loss for loss in losses or () if loss not in LOSSES]
     if bad and {"ets", "pts"} & set(methods):
@@ -172,8 +179,7 @@ def _check_losses(methods: list[str], losses: list[str] | None) -> None:
 
 
 def cmd_fit(args) -> int:
-    if args.method not in experiments.CALIBRATORS:
-        raise UsageError(f"unknown calibrator kind {args.method!r}")
+    _check_methods([args.method])
     _check_losses([args.method], args.losses)
     loss = args.losses[0] if args.losses else None
     val = read_logits(args.val)
@@ -196,8 +202,19 @@ def cmd_apply(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _read_test(args):
+    """The test set, with the rows that a report's equal-mass and KDE estimates need."""
     test = read_logits(args.test)
+    need = max(KDE_MIN_SAMPLES, args.bins[0])
+    if len(test) < need:
+        raise DataFormatError(
+            f"{args.test}: a report with {args.bins[0]} bins needs at least {need} rows, got {len(test)}"
+        )
+    return test
+
+
+def cmd_eval(args) -> int:
+    test = _read_test(args)
     model = load_model(args.model, num_classes=test.num_classes)
     report = {
         "schema_version": 1,
@@ -210,12 +227,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    unknown = [m for m in args.methods if m not in experiments.CALIBRATORS]
-    if unknown:
-        raise UsageError(f"unknown calibrator kind(s): {', '.join(unknown)}")
+    _check_methods(args.methods)
     val = read_logits(args.val)
-    test = read_logits(args.test)
-    report, _ = experiments.run_compare(
+    test = _read_test(args)
+    report = experiments.run_compare(
         args.methods,
         val,
         test,
@@ -229,19 +244,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = _pts_config(args)
-    if args.name == "capacity":
-        rows = experiments.run_capacity(args.widths, cfg, seed=args.seed)
-    elif args.name == "bins":
-        bins = args.bins if args.bins != [10] else list(range(5, 21, 2))
-        rows = experiments.run_bins_sweep(bins, cfg, seed=args.seed)
-    elif args.name == "data_efficiency":
-        methods = args.methods or ["ts", "ets", "pts", "irova"]
-        rows = experiments.run_data_efficiency(args.fractions, cfg, methods=methods, seed=args.seed)
-    else:
-        methods = args.methods or ["ets", "pts"]
-        _check_losses(methods, args.losses)
-        rows = experiments.run_loss_ablation(methods, args.losses, cfg, seed=args.seed)
+    _check_methods(args.methods or ())
+    _check_losses(args.methods or experiments.CALIBRATORS, args.losses)
+    flags = ("widths", "bins", "fractions", "methods", "losses")
+    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    rows = experiments.EXPERIMENTS[args.name](_pts_config(args), seed=args.seed, **given)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_rows_csv(rows, out_dir / f"{args.name}.csv")

@@ -4,6 +4,7 @@ bin sweep, data-efficiency sweep, loss ablation)."""
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import replace
 from typing import Sequence
@@ -29,37 +30,43 @@ def _pts_fit_config(pts_config: PtsTrainConfig | None, seed: int, loss: str | No
 
 # kind -> (model class, fitter). The fitters name this module's fit_*
 # functions inside lambdas, so they are looked up when called and a patched
-# experiments.fit_* is the one that runs.
+# experiments.fit_* is the one that runs. `ts()` returns the dataset's TS fit,
+# made at most once per fit_methods call and shared by ts, ets and irova_ts.
 CALIBRATORS = {
-    "ts": (TsModel, lambda ds, **_: fit_ts(ds)),
-    "ets": (EtsModel, lambda ds, num_bins, loss, **_: fit_ets(ds, loss=loss or "mse", num_bins=num_bins)),
+    "ts": (TsModel, lambda ds, ts, **_: ts()),
+    "ets": (EtsModel, lambda ds, ts, num_bins, loss, **_: fit_ets(ds, ts(), loss or "mse", num_bins)),
     "pts": (PtsModel, lambda ds, seed, pts_config, loss, **_: fit_pts(ds, _pts_fit_config(pts_config, seed, loss))),
     "histbin": (HistBinModel, lambda ds, num_bins, **_: fit_hist_binning(ds, num_bins)),
     "irova": (IrovaModel, lambda ds, **_: fit_irova(ds)),
     "irm": (IrmModel, lambda ds, **_: fit_irm(ds)),
-    "irova_ts": (IrovaTsModel, lambda ds, **_: fit_irova_ts(ds)),
+    "irova_ts": (IrovaTsModel, lambda ds, ts, **_: fit_irova_ts(ds, ts())),
     "pbmc": (PbmcModel, lambda ds, seed, num_bins, **_: fit_pbmc(ds, num_bins=num_bins, seed=seed)),
 }
 
 
-def fit_method(
-    method: str,
+def fit_methods(
+    methods: Sequence[str],
     dataset: Dataset,
     seed: int = DEFAULT_SEED,
     num_bins: int = 10,
     pts_config: PtsTrainConfig | None = None,
     loss: str | None = None,
 ):
-    if method not in CALIBRATORS:
-        raise ValueError(f"unknown calibrator kind {method!r}")
-    fit = CALIBRATORS[method][1]
-    return fit(dataset, seed=seed, num_bins=num_bins, pts_config=pts_config, loss=loss)
+    """Fit each method on dataset in order; yields (method, model, fit seconds).
+    The first method that needs the TS fit pays for it."""
+    unknown = [m for m in methods if m not in CALIBRATORS]
+    if unknown:
+        raise ValueError(f"unknown calibrator kind(s): {', '.join(unknown)}")
+    ts = functools.cache(lambda: fit_ts(dataset))
+    for method in methods:
+        start = time.perf_counter()
+        model = CALIBRATORS[method][1](dataset, ts=ts, seed=seed, num_bins=num_bins, pts_config=pts_config, loss=loss)
+        yield method, model, time.perf_counter() - start
 
 
-def calibrated_probs(model, dataset: Dataset) -> np.ndarray:
-    if model is None:  # uncalibrated base
-        return softmax(dataset.logits)
-    return model.apply_probs(dataset.logits)
+def fit_method(method: str, dataset: Dataset, seed: int = DEFAULT_SEED, num_bins: int = 10, pts_config=None, loss=None):
+    [(_, model, _)] = fit_methods([method], dataset, seed, num_bins, pts_config, loss)
+    return model
 
 
 def evaluate_probs(probs: np.ndarray, dataset: Dataset, bins: Sequence[int]) -> dict:
@@ -86,7 +93,7 @@ def evaluate_probs(probs: np.ndarray, dataset: Dataset, bins: Sequence[int]) -> 
 
 
 def evaluate_model(model, dataset: Dataset, bins: Sequence[int]) -> dict:
-    return evaluate_probs(calibrated_probs(model, dataset), dataset, bins)
+    return evaluate_probs(model.apply_probs(dataset.logits), dataset, bins)
 
 
 def run_compare(
@@ -97,29 +104,22 @@ def run_compare(
     seed: int = DEFAULT_SEED,
     pts_config: PtsTrainConfig | None = None,
     timings: bool = False,
-) -> tuple[dict, dict]:
+) -> dict:
     """Fit every requested calibrator on val, evaluate all (plus the
-    uncalibrated base) on test. Returns (report, fitted models)."""
-    for m in methods:
-        if m not in CALIBRATORS:
-            raise ValueError(f"unknown calibrator kind {m!r}")
+    uncalibrated base) on test."""
     report = {
         "schema_version": 1,
         "seed": seed,
         "num_classes": test.num_classes,
         "bins": list(bins),
-        "methods": {"base": evaluate_model(None, test, bins)},
+        "methods": {"base": evaluate_probs(softmax(test.logits), test, bins)},
     }
-    models = {}
-    for m in methods:
-        start = time.perf_counter()
-        models[m] = fit_method(m, val, seed=seed, num_bins=bins[0], pts_config=pts_config)
-        secs = time.perf_counter() - start
-        block = evaluate_model(models[m], test, bins)
+    for method, model, secs in fit_methods(methods, val, seed, bins[0], pts_config):
+        block = evaluate_model(model, test, bins)
         if timings:
             block["fit_wall_time_s"] = secs
-        report["methods"][m] = block
-    return report, models
+        report["methods"][method] = block
+    return report
 
 
 def _hetero_config(n: int, seed: int) -> SynthConfig:
@@ -137,67 +137,51 @@ def _oracle_pair(make_config, seed: int) -> tuple[Dataset, Dataset]:
 
 
 def _test_ece(model, test: Dataset, num_bins: int = 10) -> float:
-    preds = Predictions.from_probs(calibrated_probs(model, test), test.labels)
+    preds = Predictions.from_probs(model.apply_probs(test.logits), test.labels)
     return ece(preds, num_bins, d=1).value
 
 
-def run_capacity(widths: Sequence[int], pts_config: PtsTrainConfig, seed: int = DEFAULT_SEED) -> list[dict]:
+def run_capacity(pts_config: PtsTrainConfig, seed: int = DEFAULT_SEED, widths=(1, 2, 5, 10, 20), **_) -> list[dict]:
     """Test ECE of TS and of PTS at increasing hidden widths (heteroscedastic oracle)."""
     val, test = _oracle_pair(_hetero_config, seed)
-    rows = [
-        {
-            "method": "ts",
-            "hidden_width": 0,
-            "num_parameters": 1,
-            "test_ece": _test_ece(fit_ts(val), test),
-        }
-    ]
-    k = pts_config.topk
+    ts = fit_method("ts", val)
+    rows = [{"method": "ts", "hidden_width": 0, "num_parameters": 1, "test_ece": _test_ece(ts, test)}]
     for w in widths:
-        cfg = replace(pts_config, hidden=(int(w), int(w)))
-        model = fit_pts(val, cfg)
-        n_params = (k + 1) * w + (w + 1) * w + (w + 1)
+        model = fit_method("pts", val, seed, pts_config=replace(pts_config, hidden=(int(w), int(w))))
         rows.append(
             {
                 "method": "pts",
                 "hidden_width": int(w),
-                "num_parameters": int(n_params),
+                "num_parameters": int(model.mlp.flat.size),
                 "test_ece": _test_ece(model, test),
             }
         )
     return rows
 
 
-def run_bins_sweep(
-    bins: Sequence[int], pts_config: PtsTrainConfig, seed: int = DEFAULT_SEED
-) -> list[dict]:
+def run_bins_sweep(pts_config: PtsTrainConfig, seed: int = DEFAULT_SEED, bins=range(5, 21, 2), **_) -> list[dict]:
     """ECE of TS, ETS and PTS under every requested evaluation bin count."""
     val, test = _oracle_pair(_hetero_config, seed)
-    models = {
-        "ts": fit_ts(val),
-        "ets": fit_ets(val),
-        "pts": fit_pts(val, pts_config),
-    }
-    rows = []
-    for name, model in models.items():
-        for m in bins:
-            rows.append({"method": name, "num_bins": int(m), "test_ece": _test_ece(model, test, m)})
-    return rows
+    return [
+        {"method": name, "num_bins": int(m), "test_ece": _test_ece(model, test, m)}
+        for name, model, _ in fit_methods(("ts", "ets", "pts"), val, seed, pts_config=pts_config)
+        for m in bins
+    ]
 
 
 def run_data_efficiency(
-    fractions: Sequence[float],
     pts_config: PtsTrainConfig,
-    methods: Sequence[str] = ("ts", "ets", "pts", "irova"),
     seed: int = DEFAULT_SEED,
+    fractions=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+    methods=("ts", "ets", "pts", "irova"),
+    **_,
 ) -> list[dict]:
     """ECE per method when fitting on shrinking subsets of the validation oracle."""
     val, test = _oracle_pair(_global_config, seed)
     rows = []
     for frac in fractions:
         subset = val if frac >= 1.0 else split(val, (frac,), seed=seed)[0]
-        for method in methods:
-            model = fit_method(method, subset, seed=seed, pts_config=pts_config)
+        for method, model, _ in fit_methods(methods, subset, seed, pts_config=pts_config):
             rows.append(
                 {
                     "method": method,
@@ -210,17 +194,20 @@ def run_data_efficiency(
 
 
 def run_loss_ablation(
-    methods: Sequence[str] = ("ets", "pts"),
-    losses: Sequence[str] = ("mse", "ece"),
-    pts_config: PtsTrainConfig | None = None,
-    seed: int = DEFAULT_SEED,
+    pts_config: PtsTrainConfig, seed: int = DEFAULT_SEED, methods=("ets", "pts"), losses=("mse", "ece"), **_
 ) -> list[dict]:
     """Grid of test ECEs for each (method, training loss) combination."""
     val, test = _oracle_pair(_hetero_config, seed)
-    cfg = pts_config or PtsTrainConfig(seed=seed)
-    rows = []
-    for method in methods:
-        for loss in losses:
-            model = fit_method(method, val, seed=seed, pts_config=cfg, loss=loss)
-            rows.append({"method": method, "loss": loss, "test_ece": _test_ece(model, test)})
-    return rows
+    fits = ((m, loss, fit_method(m, val, seed, pts_config=pts_config, loss=loss)) for m in methods for loss in losses)
+    return [{"method": m, "loss": loss, "test_ece": _test_ece(model, test)} for m, loss, model in fits]
+
+
+# experiment name -> runner. Every runner takes (pts_config, seed=..., **given):
+# `given` holds the experiment flags passed on the command line, and a runner
+# defaults the ones that are missing and ignores the ones it does not use.
+EXPERIMENTS = {
+    "capacity": run_capacity,
+    "bins": run_bins_sweep,
+    "data_efficiency": run_data_efficiency,
+    "loss_ablation": run_loss_ablation,
+}

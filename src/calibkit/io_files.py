@@ -53,7 +53,10 @@ def canonical_json(obj: Any) -> str:
 
 def write_text_atomic(text: str, path: str | Path) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    except OSError as exc:  # name the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -14,6 +14,7 @@ KDE_GRID_POINTS = 1024
 KDE_BANDWIDTH_RANGE = (1e-3, 0.1)
 KDE_WINDOW = 8.5  # kernel reach in bandwidths: exp(-0.5 * 8.5**2) < 1e-15
 KDE_BLOCK = 4  # grid points per windowed kernel block; divides KDE_GRID_POINTS
+KDE_MIN_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,8 @@ def ece_kde(preds: Predictions) -> EceReport:
     """KDE-based ECE: Nadaraya-Watson accuracy estimate against a Gaussian
     kernel density over confidences, integrated on a 1024-point grid."""
     n = len(preds)
-    if n < 10:
-        raise ValueError("need at least 10 predictions for the KDE estimate")
+    if n < KDE_MIN_SAMPLES:
+        raise ValueError(f"need at least {KDE_MIN_SAMPLES} predictions for the KDE estimate")
     conf = preds.confidence
     corr = preds.correct.astype(float)
     sigma = float(conf.std())

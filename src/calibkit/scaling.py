@@ -209,12 +209,12 @@ def _ets_ece_objective(q1: np.ndarray, q2: np.ndarray, correct: np.ndarray, num_
     return value
 
 
-def fit_ets(dataset: Dataset, loss: str = "mse", num_bins: int = 10) -> EtsModel:
-    """T from fit_ts; weights by simplex grid search (0.01) plus local
-    refinement (0.001) minimizing mse to one-hot labels or the squared-gap ECE."""
+def fit_ets(dataset: Dataset, ts: TsModel, loss: str = "mse", num_bins: int = 10) -> EtsModel:
+    """T from the given TS fit of dataset; weights by simplex grid search (0.01) plus
+    local refinement (0.001) minimizing mse to one-hot labels or the squared-gap ECE."""
     if loss not in LOSSES:
         raise ValueError("loss must be 'mse' or 'ece'")
-    t = fit_ts(dataset).temperature
+    t = ts.temperature
     z = dataset.logits
     c = dataset.num_classes
     p1 = softmax(z / t)

@@ -80,7 +80,7 @@ def test_criterion_02_pts_beats_ts_on_heteroscedastic(hetero_val, hetero_test):
 def test_criterion_03_accuracy_preservation(hetero_val, hetero_test):
     models = {
         "ts": fit_ts(hetero_val),
-        "ets": fit_ets(hetero_val),
+        "ets": fit_ets(hetero_val, fit_ts(hetero_val)),
         "pts": fit_pts(hetero_val, PtsTrainConfig(steps=500, seed=SEED)),
         "irm": fit_irm(hetero_val),
         "pbmc": fit_pbmc(hetero_val, num_bins=10, seed=SEED),
@@ -252,8 +252,8 @@ def test_criterion_10_loss_ablation(hetero_test):
     overfits its binary targets while the binned objective stays flat, and the
     three-parameter mixture model is insensitive either way."""
     val = generate(SynthConfig(num_samples=2000, regime="heteroscedastic", seed=21))
-    ets_mse = measured_ece(fit_ets(val, loss="mse"), hetero_test)
-    ets_ece = measured_ece(fit_ets(val, loss="ece"), hetero_test)
+    ets_mse = measured_ece(fit_ets(val, fit_ts(val), loss="mse"), hetero_test)
+    ets_ece = measured_ece(fit_ets(val, fit_ts(val), loss="ece"), hetero_test)
     cfg = PtsTrainConfig(steps=100_000, seed=SEED)
     pts_ece = measured_ece(fit_pts(val, cfg), hetero_test)
     pts_mse = measured_ece(fit_pts(val, PtsTrainConfig(steps=100_000, seed=SEED, loss="mse")), hetero_test)

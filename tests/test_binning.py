@@ -12,6 +12,7 @@ from calibkit.binning import (
     pav,
 )
 from calibkit.core import Dataset, softmax
+from calibkit.scaling import fit_ts
 from calibkit.synth import SynthConfig, generate
 
 
@@ -235,7 +236,7 @@ def test_irm_preserves_argmax():
 
 def test_irova_ts_composes():
     ds = generate(SynthConfig(num_samples=3000, regime="global_temp", seed=27))
-    model = fit_irova_ts(ds)
+    model = fit_irova_ts(ds, fit_ts(ds))
     manual = model.irova.apply_to_probs(model.ts.apply_probs(ds.logits))
     assert np.allclose(model.apply_probs(ds.logits), manual)
 

@@ -6,6 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import calibkit.binning
+import calibkit.experiments as experiments
+import calibkit.scaling
 from calibkit.binning import fit_hist_binning, fit_irm, fit_irova, fit_irova_ts, fit_pbmc
 from calibkit.cli import main
 from calibkit.core import Dataset
@@ -92,12 +95,12 @@ def test_read_logits_error_messages(tmp_path):
 def all_models(ds):
     return [
         fit_ts(ds),
-        fit_ets(ds),
+        fit_ets(ds, fit_ts(ds)),
         fit_pts(ds, PtsTrainConfig(steps=50, seed=1)),
         fit_hist_binning(ds, 5),
         fit_irova(ds),
         fit_irm(ds),
-        fit_irova_ts(ds),
+        fit_irova_ts(ds, fit_ts(ds)),
         fit_pbmc(ds, num_bins=5, seed=1),
     ]
 
@@ -208,11 +211,13 @@ def test_cli_exit_codes(tmp_path):
     assert main(["fit", "--method", "ts", "--val", str(bad), "--out", str(tmp_path / "m.json")]) == 2
 
 
-def test_cli_experiment_loss_ablation_writes_tables(tmp_path, monkeypatch):
-    import calibkit.experiments as experiments
-
+@pytest.fixture
+def small_experiments(monkeypatch):
     monkeypatch.setattr(experiments, "EXPERIMENT_VAL_SIZE", 500)
     monkeypatch.setattr(experiments, "EXPERIMENT_TEST_SIZE", 500)
+
+
+def test_cli_experiment_loss_ablation_writes_tables(tmp_path, small_experiments):
     out = tmp_path / "exp"
     code = main(
         ["experiment", "loss_ablation", "--out", str(out), "--steps", "50", "--methods", "ets"]
@@ -254,7 +259,7 @@ def overflowing_models(val):
         "ts": TsModel(temperature=0.01),
         "ets": EtsModel(temperature=0.01, weights=(0.5, 0.3, 0.2), num_classes=4),
         "pts": pts_constant_model(0.02, num_classes=4),
-        "irova_ts": replace(fit_irova_ts(val), ts=TsModel(temperature=0.01)),
+        "irova_ts": replace(fit_irova_ts(val, fit_ts(val)), ts=TsModel(temperature=0.01)),
         "pbmc": replace(fit_pbmc(val, num_bins=5, seed=1), temperature=0.01),
     }
 
@@ -475,14 +480,19 @@ def test_cli_model_with_inconsistent_params_exit_2(tmp_path, capsys, kind, edit,
     assert one_error_line(capsys, f"data error: {model}: malformed {kind} model: {message}")
 
 
-# sha256 of the model files of seeded fits, recorded before pav and the TS
-# likelihood were optimised; both must give the same models bit for bit.
+# sha256 of the model files of seeded fits ("kind" or "kind-loss"). The first
+# five were recorded before pav and the TS likelihood were optimised, the rest
+# before ets and irova_ts started sharing one TS fit; none of these changes
+# may move a model by a bit.
 GOLDEN_MODEL_FILES = {
     "ts": "9c1c2d21db3ad497e6a02ea9f2d40f2b53de8db84b68591f6a5f497e35f2c044",
     "irova": "a114c69c0357e49da941227004f82b611031846c9b08e1a057f0cc0a7a3ee40a",
     "irm": "912b2e872971bb2ce370351d1e39f558c1adc1e272f2c325f36dd93d682c04cb",
     "irova_ts": "9bcfcae70702651f06b009d80c0b37693d56af25287aefa82160ea5a3372d4e4",
     "pbmc": "c0e1dc90023482cbdfc46559df3beb3fe6a83c25c532666540cbfae74bfabb70",
+    "ets-mse": "09dd69ca7238ebe4870048bd17b4a3a1d502b252bfb58c376a6dac0907092c3f",
+    "ets-ece": "1b138d0856e2aafbc5cad9b2a06abd6387c8aeaa0fa2b69d5d3e0264e3cb29a3",
+    "histbin": "74a23a08928a29b1beb7fbe1632784ef1d69cb4dcede03ce54582b6535f14e74",
 }
 
 
@@ -494,5 +504,136 @@ def golden_fit_set():
 @pytest.mark.parametrize("kind", sorted(GOLDEN_MODEL_FILES))
 def test_model_file_matches_golden_hash(tmp_path, golden_fit_set, kind):
     path = tmp_path / "m.json"
-    save_model(fit_method(kind, golden_fit_set, seed=17, num_bins=10), path, num_classes=10)
+    method, _, loss = kind.partition("-")
+    save_model(fit_method(method, golden_fit_set, seed=17, num_bins=10, loss=loss or None), path, num_classes=10)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MODEL_FILES[kind]
+
+
+def sha256_of(*paths):
+    return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+
+
+def test_compare_report_matches_golden_hash(tmp_path):
+    """Criterion 11's compare, hashed: recorded before ts, ets and irova_ts
+    started sharing one TS fit."""
+    val, test = tmp_path / "val.csv", tmp_path / "test.csv"
+    write_logits(generate(SynthConfig(num_samples=600, regime="heteroscedastic", seed=17)), val)
+    write_logits(generate(SynthConfig(num_samples=600, regime="heteroscedastic", seed=18)), test)
+    out = tmp_path / "r.json"
+    methods = "ts,ets,pts,histbin,irova,irm,irova_ts,pbmc"
+    argv = ["compare", "--methods", methods, "--val", str(val), "--test", str(test), "--out", str(out)]
+    assert main(argv + ["--seed", "17", "--steps", "200"]) == 0
+    assert sha256_of(out) == "6740204a4b8bdc38eb4f3b844d6b92571a2062a5f318077eaf4e2ae17add77eb"
+
+
+# sha256 of each experiment's CSV then JSON table, at the flags' defaults,
+# 500-row sets and 50 PTS steps; recorded before the runners moved behind one
+# table and one fit loop.
+GOLDEN_EXPERIMENT_TABLES = {
+    "capacity": (
+        "method,hidden_width,num_parameters,test_ece",
+        6,
+        "7fbcf4a26504168729f6d69d9c0c3a88217b1555ffb4885bc80c7d99175209b3",
+    ),
+    "bins": ("method,num_bins,test_ece", 24, "cb6d1df545239c691f03dcdfe3017212d01369392dc750ce6c0961074367d50b"),
+    "data_efficiency": (
+        "method,fraction,num_fit_samples,test_ece",
+        40,
+        "4904f52d9b9d8d9c0809e77058d705e2ae02edff6c49e6bd436b8a1250d5a160",
+    ),
+    "loss_ablation": ("method,loss,test_ece", 4, "879e298b0fe27b2fbc901ca731a0a268257c295d5dd8beb1f3ce24f9f0e505cb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXPERIMENT_TABLES))
+def test_cli_experiment_runs_and_matches_golden_hash(tmp_path, small_experiments, name):
+    header, num_rows, digest = GOLDEN_EXPERIMENT_TABLES[name]
+    out = tmp_path / "exp"
+    assert main(["experiment", name, "--out", str(out), "--steps", "50"]) == 0
+    csv_lines = (out / f"{name}.csv").read_text().splitlines()
+    assert csv_lines[0] == header and len(csv_lines) == num_rows + 1
+    assert len(json.loads((out / f"{name}.json").read_text())["rows"]) == num_rows
+    assert sha256_of(out / f"{name}.csv", out / f"{name}.json") == digest
+
+
+def test_compare_fits_ts_once_for_every_method_built_on_it(tmp_path, monkeypatch):
+    calls = []
+    for module in (experiments, calibkit.binning, calibkit.scaling):
+        monkeypatch.setattr(module, "fit_ts", lambda ds, fit=fit_ts: calls.append(ds) or fit(ds))
+    val, test = write_sets(tmp_path, n=100)
+    assert main(["compare", "--methods", "ts,ets,irova_ts", "--val", val, "--test", test]) == 0
+    assert len(calls) == 1
+
+
+def test_ets_and_irova_ts_start_from_the_given_ts_fit():
+    ds = small_dataset()
+    ts = TsModel(temperature=1.7)
+    assert fit_ets(ds, ts).temperature == 1.7
+    assert fit_irova_ts(ds, ts).ts is ts
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["data_efficiency", "--methods", "nope"],
+        ["loss_ablation", "--methods", "ets,nope"],
+        ["data_efficiency", "--fractions", "0"],
+        ["data_efficiency", "--fractions", "0.5,-1"],
+        ["data_efficiency", "--fractions", "1:0:0"],
+        ["data_efficiency", "--fractions", "1.5"],
+        ["data_efficiency", "--fractions", "0.5:1.5:0.5"],
+        ["data_efficiency", "--fractions", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_cli_experiment_rejects_bad_flags_before_generating_data(tmp_path, capsys, monkeypatch, flags):
+    def no_data(config):
+        raise AssertionError("data generated before the flags were checked")
+
+    monkeypatch.setattr(experiments, "generate", no_data)
+    out = tmp_path / "exp"
+    assert main(["experiment", *flags, "--out", str(out)]) == 1
+    assert one_error_line(capsys, "error: ")
+    assert not out.exists()
+
+
+def test_cli_experiment_bins_honours_an_explicit_bin_count(tmp_path, small_experiments):
+    out = tmp_path / "exp"
+    assert main(["experiment", "bins", "--bins", "10", "--out", str(out), "--steps", "50"]) == 0
+    rows = json.loads((out / "bins.json").read_text())["rows"]
+    assert [(r["method"], r["num_bins"]) for r in rows] == [("ts", 10), ("ets", 10), ("pts", 10)]
+
+
+@pytest.mark.parametrize("rows,bins", [(9, "10"), (14, "15"), (5, "5"), (20, "30,5")])
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_cli_report_on_too_few_test_rows_exit_2(tmp_path, capsys, monkeypatch, command, rows, bins):
+    val, _ = write_sets(tmp_path, n=100)
+    model = tmp_path / "m.json"
+    assert main(["fit", "--method", "ts", "--val", val, "--out", str(model)]) == 0
+    test = tmp_path / "small.csv"
+    write_logits(small_dataset(n=rows), test)
+    monkeypatch.setattr(experiments, "fit_ts", lambda ds: pytest.fail("fitted before the test set was checked"))
+    source = ["--model", str(model)] if command == "eval" else ["--methods", "ts", "--val", val]
+    out = tmp_path / "report.json"
+    assert main([command, *source, "--test", str(test), "--bins", bins, "--out", str(out)]) == 2
+    assert one_error_line(capsys, f"data error: {test}: a report with {bins.split(',')[0]} bins needs ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows,bins", [(10, "10"), (15, "15"), (10, "5")])
+def test_cli_eval_on_just_enough_test_rows(tmp_path, rows, bins):
+    val, _ = write_sets(tmp_path, n=100)
+    model = tmp_path / "m.json"
+    assert main(["fit", "--method", "ts", "--val", val, "--out", str(model)]) == 0
+    test = tmp_path / "small.csv"
+    write_logits(small_dataset(n=rows), test)
+    assert main(["eval", "--model", str(model), "--test", str(test), "--bins", bins, "--out", str(tmp_path / "r")]) == 0
+
+
+def test_cli_out_in_a_missing_directory_names_the_given_path(tmp_path, capsys):
+    val, _ = write_sets(tmp_path, n=50)
+    out = tmp_path / "missing" / "m.json"
+    assert main(["fit", "--method", "ts", "--val", val, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error: ")
+    assert err.rstrip().endswith(f"'{out}'") and ".tmp" not in err

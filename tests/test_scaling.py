@@ -123,7 +123,7 @@ def test_fit_ets_improves_over_uncalibrated():
     ds = generate(SynthConfig(num_samples=20_000, regime="global_temp", scale=2.5, seed=5))
     test = generate(SynthConfig(num_samples=20_000, regime="global_temp", scale=2.5, seed=6))
     for loss in ("mse", "ece"):
-        model = fit_ets(ds, loss=loss)
+        model = fit_ets(ds, fit_ts(ds), loss=loss)
         assert sum(model.weights) == pytest.approx(1.0, abs=1e-9)
         before = ece(Predictions.from_probs(softmax(test.logits), test.labels), 10).value
         after = ece(Predictions.from_probs(model.apply_probs(test.logits), test.labels), 10).value
@@ -133,7 +133,7 @@ def test_fit_ets_improves_over_uncalibrated():
 def test_fit_ets_rejects_unknown_loss():
     ds = generate(SynthConfig(num_samples=100, seed=0))
     with pytest.raises(ValueError):
-        fit_ets(ds, loss="nll")
+        fit_ets(ds, fit_ts(ds), loss="nll")
 
 
 def test_softplus_inverse_round_trip():
