@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import experiments
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+MAX_FRACTIONS = 1000
 
 
 class UsageError(Exception):
@@ -71,7 +73,10 @@ def _fraction_list(text: str) -> list[float]:
     try:
         if ":" in text:
             start, stop, step = (float(v) for v in text.split(":"))
-            values = [round(start + i * step, 12) for i in range(int(round((stop - start) / step)) + 1)]
+            count = int(round((stop - start) / step)) + 1
+            if count > MAX_FRACTIONS:
+                raise argparse.ArgumentTypeError(f"a range gives at most {MAX_FRACTIONS} fractions, got {count}")
+            values = [round(start + i * step, 12) for i in range(count)]
         else:
             values = [float(v) for v in text.split(",") if v]
     except (ValueError, ArithmeticError):
@@ -170,17 +175,18 @@ def _check_methods(methods) -> None:
         raise UsageError(f"unknown calibrator kind(s): {', '.join(unknown)}")
 
 
-def _check_losses(methods, losses: list[str] | None) -> None:
+def _check_losses(losses: list[str] | None) -> None:
     """ETS and PTS train only on the losses in scaling.LOSSES."""
     bad = [loss for loss in losses or () if loss not in LOSSES]
-    if bad and {"ets", "pts"} & set(methods):
+    if bad:
         expected = " or ".join(LOSSES)
         raise UsageError(f"unknown training loss(es) for ets and pts: {', '.join(bad)} (expected {expected})")
 
 
 def cmd_fit(args) -> int:
     _check_methods([args.method])
-    _check_losses([args.method], args.losses)
+    if args.method in ("ets", "pts"):
+        _check_losses(args.losses)
     loss = args.losses[0] if args.losses else None
     val = read_logits(args.val)
     model = experiments.fit_method(
@@ -245,7 +251,7 @@ def cmd_compare(args) -> int:
 
 def cmd_experiment(args) -> int:
     _check_methods(args.methods or ())
-    _check_losses(args.methods or experiments.CALIBRATORS, args.losses)
+    _check_losses(args.losses)  # whatever the methods: the loss ablation labels each row with its loss
     flags = ("widths", "bins", "fractions", "methods", "losses")
     given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
     rows = experiments.EXPERIMENTS[args.name](_pts_config(args), seed=args.seed, **given)
@@ -265,20 +271,26 @@ COMMANDS = {
 }
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataFormatError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericalError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning  # one line per warning, not its source line
+        try:
+            args = parser.parse_args(argv)
+            return COMMANDS[args.command](args)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (DataFormatError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except (NumericalError, FloatingPointError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

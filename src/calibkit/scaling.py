@@ -209,6 +209,23 @@ def _ets_ece_objective(q1: np.ndarray, q2: np.ndarray, correct: np.ndarray, num_
     return value
 
 
+def _grid_argmin(objective, grid: np.ndarray, floor=None) -> np.ndarray:
+    """First grid point of least objective value. Given floor(grid) <= objective(grid),
+    points are evaluated 32 at a time in ascending floor order until the next floor
+    exceeds the best value found: every point skipped is worse than the minimum, so
+    the result is that of the exhaustive search."""
+    if floor is None:
+        return grid[int(np.argmin(objective(grid)))]
+    lows = floor(grid)
+    order = np.argsort(lows, kind="stable")
+    values = np.full(len(grid), np.inf)
+    for part in np.split(order, range(32, len(order), 32)):
+        if lows[part[0]] > values.min():
+            break
+        values[part] = objective(grid[part])
+    return grid[int(np.argmin(values))]
+
+
 def fit_ets(dataset: Dataset, ts: TsModel, loss: str = "mse", num_bins: int = 10) -> EtsModel:
     """T from the given TS fit of dataset; weights by simplex grid search (0.01) plus
     local refinement (0.001) minimizing mse to one-hot labels or the squared-gap ECE."""
@@ -220,16 +237,20 @@ def fit_ets(dataset: Dataset, ts: TsModel, loss: str = "mse", num_bins: int = 10
     p1 = softmax(z / t)
     p2 = softmax(z)
     if loss == "mse":
-        objective = _ets_mse_objective(p1, p2, dataset.labels)
+        objective, floor = _ets_mse_objective(p1, p2, dataset.labels), None
     else:
         pred = np.argmax(z, axis=1)
         rows = np.arange(len(dataset))
-        objective = _ets_ece_objective(
-            p1[rows, pred], p2[rows, pred], pred == dataset.labels, num_bins, c
-        )
+        q1, q2, correct = p1[rows, pred], p2[rows, pred], pred == dataset.labels
+        objective = _ets_ece_objective(q1, q2, correct, num_bins, c)
+        # Squared-gap ECE >= (acc - mean conf)^2 by Jensen's inequality, as the bin
+        # weights n_m/N sum to 1; mean conf = w . mean(feats). In floats each side is
+        # off by O(N*eps) (sums of at most N terms in [0, 1], gaps at most 1), so the
+        # floor gives up 64*N*eps, a wide margin over that rounding.
+        mean_feats, slack = np.array([q1.mean(), q2.mean(), 1.0 / c]), 64 * len(dataset) * np.finfo(float).eps
+        floor = lambda w: (correct.mean() - w @ mean_feats) ** 2 - slack
 
-    grid = _simplex_grid(0.01)
-    best = grid[int(np.argmin(objective(grid)))]
+    best = _grid_argmin(objective, _simplex_grid(0.01), floor)
 
     # local refinement on a 0.001 lattice around the coarse optimum
     deltas = np.arange(-10, 11) * 0.001
@@ -240,8 +261,7 @@ def fit_ets(dataset: Dataset, ts: TsModel, loss: str = "mse", num_bins: int = 10
             w3 = 1.0 - w1 - w2
             if w1 >= -1e-12 and w2 >= -1e-12 and w3 >= -1e-12:
                 cand.append((max(w1, 0.0), max(w2, 0.0), max(w3, 0.0)))
-    cand = np.asarray(cand)
-    best = cand[int(np.argmin(objective(cand)))]
+    best = _grid_argmin(objective, np.asarray(cand), floor)
     best = best / best.sum()
     return EtsModel(temperature=t, weights=(float(best[0]), float(best[1]), float(best[2])), num_classes=c)
 

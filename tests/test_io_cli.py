@@ -10,7 +10,7 @@ import calibkit.binning
 import calibkit.experiments as experiments
 import calibkit.scaling
 from calibkit.binning import fit_hist_binning, fit_irm, fit_irova, fit_irova_ts, fit_pbmc
-from calibkit.cli import main
+from calibkit.cli import build_parser, main
 from calibkit.core import Dataset
 from calibkit.errors import DataFormatError
 from calibkit.experiments import fit_method
@@ -388,6 +388,7 @@ def test_cli_apply_eval_reject_a_model_for_another_class_count(tmp_path, capsys,
         ["fit", "--method", "ets", "--losses", "nll"],
         ["fit", "--method", "pts", "--losses", "mse,hinge"],
         ["experiment", "loss_ablation", "--losses", "ece,nll"],
+        ["experiment", "loss_ablation", "--methods", "irova", "--losses", "nll"],
     ],
     ids=" ".join,
 )
@@ -583,6 +584,9 @@ def test_ets_and_irova_ts_start_from_the_given_ts_fit():
         ["data_efficiency", "--fractions", "1.5"],
         ["data_efficiency", "--fractions", "0.5:1.5:0.5"],
         ["data_efficiency", "--fractions", "nan"],
+        ["data_efficiency", "--fractions", "0.1:1:1e-6"],  # 900 001 values
+        ["data_efficiency", "--fractions", "0.001:1:0.000999"],  # 1 001 values
+        ["loss_ablation", "--methods", "ts,histbin", "--losses", "mse,hinge"],
     ],
     ids=" ".join,
 )
@@ -595,6 +599,21 @@ def test_cli_experiment_rejects_bad_flags_before_generating_data(tmp_path, capsy
     assert main(["experiment", *flags, "--out", str(out)]) == 1
     assert one_error_line(capsys, "error: ")
     assert not out.exists()
+
+
+def test_cli_fraction_range_of_1000_values_is_accepted():
+    args = build_parser().parse_args(["experiment", "data_efficiency", "--out", "x", "--fractions", "0.001:1:0.001"])
+    assert len(args.fractions) == 1000 and args.fractions[-1] == 1.0
+
+
+def test_cli_prints_a_warning_as_one_line_and_exits_0(tmp_path, capsys):
+    val = tmp_path / "one_class.csv"
+    logits = np.random.default_rng(0).normal(size=(20, 3))
+    write_logits(Dataset(labels=np.zeros(20, dtype=int), logits=logits), val)
+    assert main(["fit", "--method", "ts", "--val", str(val), "--out", str(tmp_path / "m.json")]) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: dataset contains a single class; temperature fit is degenerate\n"
+    assert (tmp_path / "m.json").exists()
 
 
 def test_cli_experiment_bins_honours_an_explicit_bin_count(tmp_path, small_experiments):

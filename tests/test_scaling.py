@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import calibkit.scaling
 from calibkit.core import Dataset, Predictions, softmax, sorted_topk_matrix
 from calibkit.errors import NumericalError
 from calibkit.metrics import ece
@@ -13,9 +14,11 @@ from calibkit.scaling import (
     TsModel,
     _ece_loss_and_dq,
     _ets_ece_objective,
+    _ets_mse_objective,
     _nll_at_temperature,
     _pts_backward_q,
     _pts_q_batch,
+    _simplex_grid,
     apply_ets,
     apply_pts,
     apply_temperature,
@@ -134,6 +137,111 @@ def test_fit_ets_rejects_unknown_loss():
     ds = generate(SynthConfig(num_samples=100, seed=0))
     with pytest.raises(ValueError):
         fit_ets(ds, fit_ts(ds), loss="nll")
+
+
+def exhaustive_fit_ets(dataset, ts, loss="mse", num_bins=10):
+    """fit_ets as it was before the ECE search was pruned: every point of the
+    0.01 simplex grid, then every point of the 0.001 lattice around the best
+    one, evaluated exactly. The bitwise oracle."""
+    t, z, c = ts.temperature, dataset.logits, dataset.num_classes
+    p1, p2 = softmax(z / t), softmax(z)
+    if loss == "mse":
+        objective = _ets_mse_objective(p1, p2, dataset.labels)
+    else:
+        pred = np.argmax(z, axis=1)
+        rows = np.arange(len(dataset))
+        objective = _ets_ece_objective(p1[rows, pred], p2[rows, pred], pred == dataset.labels, num_bins, c)
+    grid = _simplex_grid(0.01)
+    best = grid[int(np.argmin(objective(grid)))]
+    deltas = np.arange(-10, 11) * 0.001
+    cand = []
+    for d1 in deltas:
+        for d2 in deltas:
+            w1, w2 = best[0] + d1, best[1] + d2
+            w3 = 1.0 - w1 - w2
+            if w1 >= -1e-12 and w2 >= -1e-12 and w3 >= -1e-12:
+                cand.append((max(w1, 0.0), max(w2, 0.0), max(w3, 0.0)))
+    cand = np.asarray(cand)
+    best = cand[int(np.argmin(objective(cand)))]
+    best = best / best.sum()
+    return EtsModel(temperature=t, weights=(float(best[0]), float(best[1]), float(best[2])), num_classes=c)
+
+
+def assert_fit_ets_matches_exhaustive(ds, ts, loss="ece", num_bins=10):
+    got = fit_ets(ds, ts, loss=loss, num_bins=num_bins)
+    want = exhaustive_fit_ets(ds, ts, loss=loss, num_bins=num_bins)
+    assert np.array(got.weights).tobytes() == np.array(want.weights).tobytes()
+    assert got.temperature == want.temperature
+
+
+def _logit_rows(rng, n, c, scale):
+    z = rng.normal(size=(n, c)) * scale
+    labels = (rng.random((n, 1)) < softmax(z / 2.0).cumsum(axis=1)).argmax(axis=1)
+    return z, labels
+
+
+@pytest.mark.parametrize("loss", ["mse", "ece"])
+@pytest.mark.parametrize("regime", ["global_temp", "heteroscedastic", "overconfident_tail"])
+def test_fit_ets_matches_exhaustive_search_on_synthetic_sets(regime, loss):
+    ds = generate(SynthConfig(num_samples=2000, regime=regime, seed=61))
+    assert_fit_ets_matches_exhaustive(ds, fit_ts(ds), loss=loss, num_bins=15)
+
+
+@pytest.mark.parametrize("num_classes,num_bins", [(5, 10), (4, 10), (10, 1)])
+def test_fit_ets_matches_exhaustive_search_on_all_equal_logits(num_classes, num_bins):
+    # every confidence is 1/C whatever the weights, up to the rounding of the mix;
+    # 1/C is a bin edge when C divides M, so that rounding picks the bin
+    labels = np.random.default_rng(num_classes).integers(0, num_classes, size=120)
+    ds = Dataset(labels=labels, logits=np.full((120, num_classes), 0.75))
+    assert_fit_ets_matches_exhaustive(ds, TsModel(temperature=1.3), num_bins=num_bins)
+
+
+@pytest.mark.parametrize("labels", ["duplicated", "all_correct", "all_wrong"])
+def test_fit_ets_matches_exhaustive_search_on_degenerate_labels(labels):
+    rng = np.random.default_rng(71)
+    z, y = _logit_rows(rng, 40, 6, 3.0)
+    if labels == "duplicated":
+        z, y = np.tile(z, (25, 1)), np.tile(y, 25)
+    pred = np.argmax(z, axis=1)
+    y = {"duplicated": y, "all_correct": pred, "all_wrong": (pred + 1) % 6}[labels]
+    assert_fit_ets_matches_exhaustive(Dataset(labels=y, logits=z), TsModel(temperature=0.6), num_bins=15)
+
+
+def test_fit_ets_ece_search_matches_exhaustive_on_arbitrary_sets():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=12, deadline=None)
+    @hypothesis.given(
+        st.integers(10, 2000),
+        st.integers(2, 12),
+        st.integers(1, 50),
+        st.sampled_from([0.05, 1.0, 4.0, 30.0]),
+        st.sampled_from([None, 0, 1]),
+        st.floats(0.2, 5.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(n, c, num_bins, scale, decimals, temperature, seed):
+        z, y = _logit_rows(np.random.default_rng(seed), n, c, scale)
+        if decimals is not None:  # rounded logits give ties and repeated rows
+            z = np.round(z, decimals)
+        ds = Dataset(labels=y, logits=z)
+        assert_fit_ets_matches_exhaustive(ds, TsModel(temperature=temperature), num_bins=num_bins)
+
+    check()
+
+
+def test_fit_ets_ece_search_evaluates_under_1500_of_5592_points(monkeypatch):
+    evaluated = []
+
+    def counting_objective(*args, make=_ets_ece_objective):
+        value = make(*args)
+        return lambda w: evaluated.append(len(np.atleast_2d(w))) or value(w)
+
+    monkeypatch.setattr(calibkit.scaling, "_ets_ece_objective", counting_objective)
+    ds = generate(SynthConfig(num_samples=25_000, regime="heteroscedastic", seed=81))
+    fit_ets(ds, fit_ts(ds), loss="ece")
+    assert 0 < sum(evaluated) <= 1500  # the exhaustive search evaluates 5151 + 441
 
 
 def test_softplus_inverse_round_trip():
