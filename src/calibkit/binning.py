@@ -173,7 +173,7 @@ class HistBinModel:
 
     @classmethod
     def from_params(cls, p: dict, num_classes: int) -> "HistBinModel":
-        return cls(edges=np.asarray(p["edges"]), outputs=np.asarray(p["outputs"]), num_classes=num_classes)
+        return cls(np.asarray(p["edges"], float), np.asarray(p["outputs"], float), num_classes)
 
 
 def fit_hist_binning(dataset: Dataset, num_bins: int) -> HistBinModel:
@@ -325,7 +325,7 @@ class PbmcModel:
 
     @classmethod
     def from_params(cls, p: dict, num_classes: int) -> "PbmcModel":
-        return cls(p["temperature"], np.asarray(p["edges"]), np.asarray(p["outputs"]), num_classes)
+        return cls(p["temperature"], np.asarray(p["edges"], float), np.asarray(p["outputs"], float), num_classes)
 
 
 def fit_pbmc(dataset: Dataset, num_bins: int = 10, seed: int = 17) -> PbmcModel:

@@ -41,14 +41,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int = 1) -> int:
     try:
         value = int(text)
-        if value >= 1:
+        if value >= low:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
 
 
 def _positive_float(text: str) -> float:
@@ -62,18 +62,19 @@ def _positive_float(text: str) -> float:
 
 
 def _int_list(text: str) -> list[int]:
-    values = [_positive_int(v) for v in text.split(",") if v]
+    values = [_int_at_least(v) for v in text.split(",") if v]
     if not values:
         raise argparse.ArgumentTypeError(f"expected a comma-separated list of positive integers, got {text!r}")
     return values
 
 
 def _fraction_list(text: str) -> list[float]:
-    """Either a comma list (0.1,0.5,1.0) or a start:stop:step range (0.1:1.0:0.1), each in (0, 1]."""
+    """Either a comma list (0.1,0.5,1.0) or a start:stop:step range (0.1:1.0:0.1), each in (0, 1]
+    and, rounded as synth.split rounds it, at least one row of an experiment's validation set."""
     try:
         if ":" in text:
             start, stop, step = (float(v) for v in text.split(":"))
-            count = int(round((stop - start) / step)) + 1
+            count = math.floor((stop - start) / step + 1e-9) + 1  # the values up to stop
             if count > MAX_FRACTIONS:
                 raise argparse.ArgumentTypeError(f"a range gives at most {MAX_FRACTIONS} fractions, got {count}")
             values = [round(start + i * step, 12) for i in range(count)]
@@ -81,33 +82,37 @@ def _fraction_list(text: str) -> list[float]:
             values = [float(v) for v in text.split(",") if v]
     except (ValueError, ArithmeticError):
         values = []
-    if values and all(0.0 < v <= 1.0 for v in values):
+    n = experiments.EXPERIMENT_VAL_SIZE
+    if values and all(0.0 < v <= 1.0 and round(v * n) >= 1 for v in values):
         return values
-    raise argparse.ArgumentTypeError(f"expected fractions in (0, 1], got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected fractions in (0, 1] keeping one of {n} validation rows, got {text!r}")
 
 
 def _str_list(text: str) -> list[str]:
-    return [v for v in text.split(",") if v]
+    values = [v for v in text.split(",") if v]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of names, got {text!r}")
+    return values
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="calibkit", description="Post-hoc uncertainty calibration toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_train_flags(p, default_steps):
-        p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
-        p.add_argument("--bins", type=_int_list, default=[10], help="comma list of bin counts")
-        p.add_argument("--steps", type=_positive_int, default=default_steps)
-        p.add_argument("--batch-size", type=_positive_int, default=1000)
-        p.add_argument("--lr", type=_positive_float, default=1e-4)
-        p.add_argument("--topk", type=_positive_int, default=10)
+    def add_train_flags(p):
+        p.add_argument("--seed", type=lambda text: _int_at_least(text, 0), default=PtsTrainConfig.seed)
+        p.add_argument("--bins", type=_int_list, default=[PtsTrainConfig.num_bins], help="comma list of bin counts")
+        p.add_argument("--steps", type=_int_at_least, default=PtsTrainConfig.steps)
+        p.add_argument("--batch-size", type=_int_at_least, default=PtsTrainConfig.batch_size)
+        p.add_argument("--lr", dest="learning_rate", type=_positive_float, default=PtsTrainConfig.learning_rate)
+        p.add_argument("--topk", type=_int_at_least, default=PtsTrainConfig.topk)
 
     p_fit = sub.add_parser("fit", help="fit one calibrator and write a model file")
     p_fit.add_argument("--method", required=True)
     p_fit.add_argument("--val", required=True)
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--losses", type=_str_list, default=None, help="training loss (single value)")
-    add_train_flags(p_fit, 100_000)
+    add_train_flags(p_fit)
 
     p_apply = sub.add_parser("apply", help="apply a model file, write calibrated confidences CSV")
     p_apply.add_argument("--model", required=True)
@@ -126,7 +131,7 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("--test", required=True)
     p_cmp.add_argument("--out", default=None)
     p_cmp.add_argument("--timings", action="store_true", help="include fit wall times in the report")
-    add_train_flags(p_cmp, 100_000)
+    add_train_flags(p_cmp)
 
     p_exp = sub.add_parser("experiment", help="run a synthetic-oracle experiment")
     p_exp.add_argument("name", choices=experiments.EXPERIMENTS)
@@ -135,21 +140,17 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--fractions", type=_fraction_list)
     p_exp.add_argument("--losses", type=_str_list)
     p_exp.add_argument("--methods", type=_str_list)
-    add_train_flags(p_exp, 20_000)
-    p_exp.set_defaults(bins=None)  # the experiment's own default unless given
+    add_train_flags(p_exp)
+    p_exp.set_defaults(bins=None, steps=20_000)  # bins: the experiment's own default unless given
 
     return parser
 
 
-def _pts_config(args) -> PtsTrainConfig:
-    return PtsTrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        steps=args.steps,
-        num_bins=(args.bins or [10])[0],
-        seed=args.seed,
-        topk=args.topk,
-    )
+def _train_settings(args) -> dict:
+    """The PtsTrainConfig fields that the train flags set: the seed and the bin
+    count of every fitter, and the PTS training settings."""
+    settings = {name: getattr(args, name) for name in ("learning_rate", "batch_size", "steps", "seed", "topk")}
+    return settings | {"num_bins": (args.bins or [PtsTrainConfig.num_bins])[0]}
 
 
 def _emit_report(report: dict, out: str | None) -> None:
@@ -187,11 +188,11 @@ def cmd_fit(args) -> int:
     _check_methods([args.method])
     if args.method in ("ets", "pts"):
         _check_losses(args.losses)
+    if len(args.losses or ()) > 1:
+        raise UsageError(f"fit takes one training loss, got {len(args.losses)}: {','.join(args.losses)}")
     loss = args.losses[0] if args.losses else None
     val = read_logits(args.val)
-    model = experiments.fit_method(
-        args.method, val, seed=args.seed, num_bins=args.bins[0], pts_config=_pts_config(args), loss=loss
-    )
+    model = experiments.fit_method(args.method, val, loss, **_train_settings(args))
     save_model(model, args.out, num_classes=val.num_classes)
     return EXIT_OK
 
@@ -236,15 +237,10 @@ def cmd_compare(args) -> int:
     _check_methods(args.methods)
     val = read_logits(args.val)
     test = _read_test(args)
-    report = experiments.run_compare(
-        args.methods,
-        val,
-        test,
-        bins=args.bins,
-        seed=args.seed,
-        pts_config=_pts_config(args),
-        timings=args.timings,
-    )
+    if test.num_classes != val.num_classes:
+        raise DataFormatError(f"{args.test}: {test.num_classes} classes, but {args.val} has {val.num_classes}")
+    config = PtsTrainConfig(**_train_settings(args))
+    report = experiments.run_compare(args.methods, val, test, args.bins, config, timings=args.timings)
     _emit_report(report, args.out)
     return EXIT_OK
 
@@ -254,9 +250,9 @@ def cmd_experiment(args) -> int:
     _check_losses(args.losses)  # whatever the methods: the loss ablation labels each row with its loss
     flags = ("widths", "bins", "fractions", "methods", "losses")
     given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
-    rows = experiments.EXPERIMENTS[args.name](_pts_config(args), seed=args.seed, **given)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the fits, so that a bad --out costs nothing
+    rows = experiments.EXPERIMENTS[args.name](PtsTrainConfig(**_train_settings(args)), **given)
     _write_rows_csv(rows, out_dir / f"{args.name}.csv")
     write_json({"experiment": args.name, "seed": args.seed, "rows": rows}, out_dir / f"{args.name}.json")
     return EXIT_OK
@@ -285,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        except (DataFormatError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+        except (DataFormatError, OSError) as exc:  # a file that cannot be read or written
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
         except (NumericalError, FloatingPointError) as exc:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -154,6 +155,20 @@ def model_to_dict(model, num_classes: int | None = None) -> dict:
     return {"kind": model.kind, "version": SCHEMA_VERSION, "num_classes": num_classes, "params": model.to_params()}
 
 
+def _finite_numbers(doc) -> bool:
+    """No null, and no number that is NaN or beyond the doubles, anywhere in
+    doc, as in every model file that save_model writes. A loop, not a
+    recursion, so that any nesting json.load accepts is checked."""
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list, tuple)):
+            stack.extend(node.values() if isinstance(node, dict) else node)
+        elif not (isinstance(node, str) or (node is not None and abs(node) <= sys.float_info.max)):
+            return False
+    return True
+
+
 def model_from_dict(doc: dict, num_classes: int | None = None):
     """Rebuild a model from its file document. A missing field, a wrong type
     or a value the model rejects is a DataFormatError, and so is a document
@@ -163,6 +178,8 @@ def model_from_dict(doc: dict, num_classes: int | None = None):
         raise DataFormatError(f"unknown model kind {kind!r}")
     if doc.get("version") != SCHEMA_VERSION:
         raise DataFormatError(f"unsupported model version {doc.get('version')!r}")
+    if not _finite_numbers(doc.get("params", {})):
+        raise DataFormatError(f"malformed {kind} model: a parameter is null or not a finite double")
     try:
         model_classes = int(doc["num_classes"])
         model = CALIBRATORS[kind][0].from_params(doc["params"], model_classes)
@@ -182,7 +199,7 @@ def load_model(path: str | Path, num_classes: int | None = None):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return model_from_dict(doc, num_classes)

@@ -290,6 +290,8 @@ def test_cli_apply_eval_overflowing_logits_exit_3(tmp_path, capsys, kind, comman
         ["eval", "--bins", ","],
         ["fit", "--steps", "0"],
         ["fit", "--steps", "-5"],
+        ["fit", "--seed", "-1"],
+        ["experiment", "--seed", "-1"],
         ["fit", "--batch-size", "0"],
         ["compare", "--batch-size", "-1000"],
         ["fit", "--lr", "0"],
@@ -400,6 +402,15 @@ def test_cli_rejects_an_unknown_training_loss(tmp_path, capsys, argv):
     assert not (tmp_path / "m.json").exists() and not (tmp_path / "exp").exists()
 
 
+@pytest.mark.parametrize("method", ["ets", "pts", "ts"])
+def test_cli_fit_rejects_more_than_one_loss(tmp_path, capsys, method):
+    val, _ = write_sets(tmp_path, n=50)
+    out = tmp_path / "m.json"
+    assert main(["fit", "--method", method, "--val", val, "--out", str(out), "--losses", "mse,ece"]) == 1
+    assert one_error_line(capsys, "error: fit takes one training loss, got 2: mse,ece")
+    assert not out.exists()
+
+
 def test_cli_fit_ignores_losses_for_methods_without_one(tmp_path):
     val, _ = write_sets(tmp_path, n=50)
     assert main(["fit", "--method", "ts", "--val", val, "--out", str(tmp_path / "m.json"), "--losses", "nll"]) == 0
@@ -453,6 +464,10 @@ def _drop_a_bin_output(doc):
         ("pbmc", _set_param("temperature", -1.0), "temperature must be positive, got -1.0"),
         ("irm", _set_param("strictness", -1.0), "strictness must be positive, got -1.0"),
         ("irm", _set_param("strictness", "x"), "'>' not supported"),
+        ("ts", _set_param("temperature", float("nan")), "a parameter is null or not a finite double"),
+        ("ets", _set_param("weights", [0.5, 0.5, None]), "a parameter is null or not a finite double"),
+        ("pbmc", _set_param("temperature", 10**400), "a parameter is null or not a finite double"),
+        ("histbin", _set_param("outputs", [{}] * 10), "float() argument must be a string or a real number, not 'dict'"),
     ],
     ids=[
         "pts_input_width",
@@ -467,6 +482,10 @@ def _drop_a_bin_output(doc):
         "pbmc_negative_temperature",
         "irm_negative_strictness",
         "irm_text_strictness",
+        "ts_nan_temperature",
+        "ets_null_weight",
+        "pbmc_huge_temperature",
+        "histbin_dict_output",
     ],
 )
 @pytest.mark.parametrize("command", ["apply", "eval"])
@@ -479,6 +498,17 @@ def test_cli_model_with_inconsistent_params_exit_2(tmp_path, capsys, kind, edit,
     model.write_text(json.dumps(doc))
     assert main([command, "--model", str(model), "--test", test, "--out", str(tmp_path / "out")]) == 2
     assert one_error_line(capsys, f"data error: {model}: malformed {kind} model: {message}")
+
+
+@pytest.mark.parametrize("depth", [900, 100_000])
+@pytest.mark.parametrize("command", ["apply", "eval"])
+def test_cli_model_nested_too_deep_exit_2(tmp_path, capsys, depth, command):
+    _, test = write_sets(tmp_path, n=50)
+    model = tmp_path / "m.json"
+    nested = "[" * depth + "1" + "]" * depth
+    model.write_text('{"kind":"ts","version":1,"num_classes":10,"params":{"temperature":' + nested + "}}")
+    assert main([command, "--model", str(model), "--test", test, "--out", str(tmp_path / "out")]) == 2
+    assert one_error_line(capsys, f"data error: {model}: ")
 
 
 # sha256 of the model files of seeded fits ("kind" or "kind-loss"). The first
@@ -557,13 +587,42 @@ def test_cli_experiment_runs_and_matches_golden_hash(tmp_path, small_experiments
     assert sha256_of(out / f"{name}.csv", out / f"{name}.json") == digest
 
 
-def test_compare_fits_ts_once_for_every_method_built_on_it(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["compare", "loss_ablation"])
+def test_compare_fits_ts_once_for_every_method_built_on_it(tmp_path, monkeypatch, small_experiments, command):
     calls = []
     for module in (experiments, calibkit.binning, calibkit.scaling):
         monkeypatch.setattr(module, "fit_ts", lambda ds, fit=fit_ts: calls.append(ds) or fit(ds))
     val, test = write_sets(tmp_path, n=100)
-    assert main(["compare", "--methods", "ts,ets,irova_ts", "--val", val, "--test", test]) == 0
+    argv = {
+        "compare": ["compare", "--methods", "ts,ets,irova_ts", "--val", val, "--test", test],
+        # ets once per loss: mse, then ece
+        "loss_ablation": ["experiment", "loss_ablation", "--steps", "5", "--out", str(tmp_path)],
+    }[command]
+    assert main(argv) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["loss_ablation"],
+        ["data_efficiency", "--methods", "histbin,pbmc,pts", "--fractions", "1"],
+    ],
+    ids=" ".join,
+)
+def test_cli_experiment_gives_the_first_bin_count_to_every_fitter(tmp_path, monkeypatch, small_experiments, flags):
+    seen = []
+
+    def spy(kind, fit, bins_of):
+        return lambda *args, **kwargs: seen.append((kind, bins_of(*args, **kwargs))) or fit(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "fit_ets", spy("ets", fit_ets, lambda ds, ts, loss, num_bins: num_bins))
+    monkeypatch.setattr(experiments, "fit_pts", spy("pts", fit_pts, lambda ds, cfg: cfg.num_bins))
+    monkeypatch.setattr(experiments, "fit_hist_binning", spy("histbin", fit_hist_binning, lambda ds, bins: bins))
+    monkeypatch.setattr(experiments, "fit_pbmc", spy("pbmc", fit_pbmc, lambda ds, num_bins, seed: num_bins))
+    assert main(["experiment", *flags, "--bins", "15", "--steps", "5", "--out", str(tmp_path)]) == 0
+    assert seen and {bins for _, bins in seen} == {15}
+    assert {kind for kind, _ in seen} == ({"ets", "pts"} if flags[0] == "loss_ablation" else {"histbin", "pbmc", "pts"})
 
 
 def test_ets_and_irova_ts_start_from_the_given_ts_fit():
@@ -586,7 +645,9 @@ def test_ets_and_irova_ts_start_from_the_given_ts_fit():
         ["data_efficiency", "--fractions", "nan"],
         ["data_efficiency", "--fractions", "0.1:1:1e-6"],  # 900 001 values
         ["data_efficiency", "--fractions", "0.001:1:0.000999"],  # 1 001 values
+        ["data_efficiency", "--fractions", "0.00001,1"],  # no row of the validation set
         ["loss_ablation", "--methods", "ts,histbin", "--losses", "mse,hinge"],
+        ["loss_ablation", "--methods", ","],
     ],
     ids=" ".join,
 )
@@ -599,6 +660,12 @@ def test_cli_experiment_rejects_bad_flags_before_generating_data(tmp_path, capsy
     assert main(["experiment", *flags, "--out", str(out)]) == 1
     assert one_error_line(capsys, "error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,fractions", [("0.1:0.95:0.3", [0.1, 0.4, 0.7]), ("0.5:0.99:0.3", [0.5, 0.8])])
+def test_cli_fraction_range_ends_at_its_last_value_up_to_stop(text, fractions):
+    args = build_parser().parse_args(["experiment", "data_efficiency", "--out", "x", "--fractions", text])
+    assert args.fractions == fractions
 
 
 def test_cli_fraction_range_of_1000_values_is_accepted():
@@ -647,6 +714,22 @@ def test_cli_eval_on_just_enough_test_rows(tmp_path, rows, bins):
     test = tmp_path / "small.csv"
     write_logits(small_dataset(n=rows), test)
     assert main(["eval", "--model", str(model), "--test", str(test), "--bins", bins, "--out", str(tmp_path / "r")]) == 0
+
+
+def test_cli_compare_on_sets_of_different_class_counts_exit_2(tmp_path, capsys):
+    val, _ = write_sets(tmp_path, n=50)
+    test = tmp_path / "test3.csv"
+    write_logits(generate(SynthConfig(num_samples=30, num_classes=3, seed=52)), test)
+    assert main(["compare", "--methods", "ts,irova_ts", "--val", val, "--test", str(test)]) == 2
+    assert one_error_line(capsys, f"data error: {test}: 3 classes, but {val} has 10")
+
+
+def test_cli_experiment_out_on_a_file_exit_2_before_generating_data(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "generate", lambda config: pytest.fail("data generated before --out was made"))
+    out = tmp_path / "exp"
+    out.write_text("")
+    assert main(["experiment", "loss_ablation", "--methods", "ets", "--out", str(out)]) == 2
+    assert one_error_line(capsys, "data error: ")
 
 
 def test_cli_out_in_a_missing_directory_names_the_given_path(tmp_path, capsys):
