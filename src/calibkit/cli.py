@@ -17,6 +17,7 @@ from .errors import DataFormatError, NumericalError
 from .metrics import KDE_MIN_SAMPLES
 from .io_files import (
     _fmt,
+    _fmt_column,
     load_model,
     read_logits,
     save_model,
@@ -186,7 +187,7 @@ def _check_losses(losses: list[str] | None) -> None:
 
 def cmd_fit(args) -> int:
     _check_methods([args.method])
-    if args.method in ("ets", "pts"):
+    if args.method in experiments.LOSS_METHODS:
         _check_losses(args.losses)
     if len(args.losses or ()) > 1:
         raise UsageError(f"fit takes one training loss, got {len(args.losses)}: {','.join(args.losses)}")
@@ -202,10 +203,8 @@ def cmd_apply(args) -> int:
     model = load_model(args.model, num_classes=test.num_classes)
     probs = model.apply_probs(test.logits)
     preds = Predictions.from_probs(probs, test.labels)
-    lines = ["predicted_class,confidence"]
-    for p, c in zip(preds.predicted_class, preds.confidence):
-        lines.append(f"{int(p)},{_fmt(c)}")
-    write_text_atomic("\n".join(lines) + "\n", args.out)
+    rows = map(",".join, zip(map(str, preds.predicted_class.tolist()), _fmt_column(preds.confidence)))
+    write_text_atomic("\n".join(["predicted_class,confidence", *rows]) + "\n", args.out)
     return EXIT_OK
 
 

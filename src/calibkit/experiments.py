@@ -39,21 +39,27 @@ CALIBRATORS = {
     "irova_ts": (IrovaTsModel, lambda ds, ts, cfg, loss: fit_irova_ts(ds, ts())),
     "pbmc": (PbmcModel, lambda ds, ts, cfg, loss: fit_pbmc(ds, num_bins=cfg.num_bins, seed=cfg.seed)),
 }
+# the methods whose fit reads the training loss; fit_methods fits every other
+# method once, whatever the losses
+LOSS_METHODS = ("ets", "pts")
 
 
 def fit_methods(methods: Sequence[str], dataset: Dataset, config: PtsTrainConfig, losses: Sequence = (None,)):
     """Fit each method on dataset with each loss, in that order; yields
-    (method, loss, model, fit seconds). The first fit that needs the TS fit
-    pays for it."""
+    (method, loss, model, fit seconds). A method outside LOSS_METHODS is fitted
+    with the first loss, and that model and time are yielded for every loss.
+    The first fit that needs the TS fit pays for it."""
     unknown = [m for m in methods if m not in CALIBRATORS]
     if unknown:
         raise ValueError(f"unknown calibrator kind(s): {', '.join(unknown)}")
     ts = functools.cache(lambda: fit_ts(dataset))
     for method in methods:
-        for loss in losses:
-            start = time.perf_counter()
-            model = CALIBRATORS[method][1](dataset, ts, config, loss)
-            yield method, loss, model, time.perf_counter() - start
+        for i, loss in enumerate(losses):
+            if i == 0 or method in LOSS_METHODS:
+                start = time.perf_counter()
+                model = CALIBRATORS[method][1](dataset, ts, config, loss)
+                seconds = time.perf_counter() - start
+            yield method, loss, model, seconds
 
 
 def fit_method(method: str, dataset: Dataset, loss: str | None = None, **settings):

@@ -28,6 +28,19 @@ def _fmt(x: float) -> str:
     return s
 
 
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """_fmt of every value, in row-major order, at array speed: one %.17g
+    format over the whole column, then ".0" after each finite integral value
+    below 1e17 (-0.0 too), the values that %.17g prints with neither a point
+    nor an exponent."""
+    x = np.asarray(values, dtype=float).ravel()
+    cells = ("%.17g," * x.size % tuple(x.tolist())).split(",")
+    cells.pop()  # the empty string after the last comma
+    for i in np.flatnonzero((x == np.floor(x)) & (np.abs(x) < 1e17)).tolist():
+        cells[i] += ".0"
+    return cells
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, compact separators, 17-significant-digit reals."""
     if isinstance(obj, dict):
@@ -74,10 +87,10 @@ def write_json(obj: Any, path: str | Path) -> None:
 
 def write_logits(dataset: Dataset, path: str | Path) -> None:
     c = dataset.num_classes
-    lines = ["label," + ",".join(f"z{i}" for i in range(c))]
-    for label, row in zip(dataset.labels, dataset.logits):
-        lines.append(str(int(label)) + "," + ",".join(_fmt(v) for v in row))
-    write_text_atomic("\n".join(lines) + "\n", path)
+    cells = _fmt_column(dataset.logits)
+    rows = map(",".join, zip(map(str, dataset.labels.tolist()), *(cells[j::c] for j in range(c))))
+    header = "label," + ",".join(f"z{i}" for i in range(c))
+    write_text_atomic("\n".join([header, *rows]) + "\n", path)
 
 
 def read_logits(path: str | Path) -> Dataset:

@@ -190,9 +190,9 @@ def test_criterion_07_gradient_correctness():
         z, zs, pred, corr = ds.logits[idx], zs_all[idx], pred_all[idx], corr_all[idx]
 
         def loss_fn(params):
-            q, aux = _pts_q_batch(params, zs, z, pred, model.t_min)
+            q, aux = _pts_q_batch(params, zs, z, model.t_min)
             loss, dq, _ = _ece_loss_and_dq(q, corr, cfg.num_bins)
-            return loss, _pts_backward_q(params, aux, z, pred, dq)
+            return loss, _pts_backward_q(params, aux, z, dq)
 
         worst = max(worst, grad_check(model.mlp, loss_fn, h=1e-5).max_rel_error)
     ok = worst <= 1e-4

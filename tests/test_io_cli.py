@@ -14,7 +14,10 @@ from calibkit.cli import build_parser, main
 from calibkit.core import Dataset
 from calibkit.errors import DataFormatError
 from calibkit.experiments import fit_method
+from calibkit.core import Predictions
 from calibkit.io_files import (
+    _fmt,
+    _fmt_column,
     canonical_json,
     load_model,
     model_from_dict,
@@ -57,6 +60,56 @@ def test_logits_round_trip_byte_identical(tmp_path):
     assert np.array_equal(back.logits, ds.logits)
     write_logits(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Values at the edges of %.17g and of the ".0" fix-up: integral values below
+# 1e17 (99999999999999984 is the largest double below it) print without a
+# point, 1e17 and up print with an exponent, and so do values below 1e-4.
+FMT_EDGES = [1.0, 0.5, 0.0, -0.0, 1 / 3, 1e-5, 1e-4, 5e-324, 1e16, 99999999999999984.0, 1e17, 2.0**53, 1e300]
+
+
+def fmt_per_value(values):
+    """The per-value loop that write_logits and cmd_apply ran, kept as the bitwise oracle."""
+    return [_fmt(v) for v in np.asarray(values, dtype=float).ravel()]
+
+
+def test_fmt_column_matches_fmt_on_every_value():
+    rng = np.random.default_rng(3)
+    edges = np.array(FMT_EDGES + [-v for v in FMT_EDGES] + [np.nan, np.inf, -np.inf])
+    scaled = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-30, 30, 20_000)
+    integral = np.round(rng.standard_normal(5_000) * 10.0 ** rng.uniform(0, 20, 5_000))
+    values = np.concatenate([edges, scaled, integral, rng.random(5_000), np.array([])])
+    assert _fmt_column(values) == fmt_per_value(values)
+    rows = values[:27_000].reshape(-1, 9)
+    assert _fmt_column(rows) == fmt_per_value(rows)  # row-major
+    assert _fmt_column(np.array([])) == []
+
+
+def test_write_logits_matches_the_per_value_loop(tmp_path):
+    rng = np.random.default_rng(4)
+    logits = np.concatenate([np.array(FMT_EDGES).reshape(-1, 1) * [1, -1], rng.standard_normal((50, 2)) * 1e3])
+    ds = Dataset(labels=rng.integers(0, 2, len(logits)), logits=logits)
+    cells = iter(fmt_per_value(ds.logits))
+    lines = [f"{label},{next(cells)},{next(cells)}" for label in ds.labels.tolist()]
+    write_logits(ds, tmp_path / "z.csv")
+    assert (tmp_path / "z.csv").read_text() == "\n".join(["label,z0,z1", *lines]) + "\n"
+
+
+@pytest.mark.parametrize("method", ["ts", "histbin"])
+def test_cli_apply_matches_the_per_value_loop(tmp_path, method):
+    val, test = write_sets(tmp_path)
+    ds = read_logits(test)
+    ds = Dataset(labels=ds.labels, logits=ds.logits * np.where(np.arange(len(ds)) < 50, 1e3, 1.0)[:, None])
+    write_logits(ds, test)  # the first 50 rows so far apart that TS gives them confidence 1.0
+    model, out = str(tmp_path / "m.json"), tmp_path / "conf.csv"
+    assert main(["fit", "--method", method, "--val", val, "--out", model]) == 0
+    assert main(["apply", "--model", model, "--test", test, "--out", str(out)]) == 0
+    preds = Predictions.from_probs(load_model(model, ds.num_classes).apply_probs(ds.logits), ds.labels)
+    cells = fmt_per_value(preds.confidence)
+    lines = [f"{p},{c}" for p, c in zip(preds.predicted_class.tolist(), cells)]
+    assert out.read_text() == "\n".join(["predicted_class,confidence", *lines]) + "\n"
+    if method == "ts":
+        assert "1.0" in cells  # the fix-up path runs
 
 
 def test_read_logits_error_messages(tmp_path):
@@ -600,6 +653,17 @@ def test_compare_fits_ts_once_for_every_method_built_on_it(tmp_path, monkeypatch
     }[command]
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+def test_loss_ablation_fits_a_method_without_a_loss_once(tmp_path, monkeypatch, small_experiments):
+    calls = []
+    monkeypatch.setattr(experiments, "fit_irova", lambda ds: calls.append(ds) or fit_irova(ds))
+    argv = ["experiment", "loss_ablation", "--methods", "irova,ets", "--losses", "mse,ece", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    rows = json.loads((tmp_path / "loss_ablation.json").read_text())["rows"]
+    assert [(r["method"], r["loss"]) for r in rows] == [("irova", "mse"), ("irova", "ece"), ("ets", "mse"), ("ets", "ece")]
+    assert rows[0]["test_ece"] == rows[1]["test_ece"]
 
 
 @pytest.mark.parametrize(

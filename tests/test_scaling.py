@@ -314,9 +314,9 @@ def test_pts_gradient_matches_finite_differences():
     corr = pred == ds.labels
 
     def loss_fn(params):
-        q, aux = _pts_q_batch(params, zs, z, pred, model.t_min)
+        q, aux = _pts_q_batch(params, zs, z, model.t_min)
         loss, dq, _ = _ece_loss_and_dq(q, corr, cfg.num_bins)
-        return loss, _pts_backward_q(params, aux, z, pred, dq)
+        return loss, _pts_backward_q(params, aux, z, dq)
 
     report = grad_check(model.mlp, loss_fn, h=1e-5)
     assert report.max_rel_error <= 1e-4
