@@ -96,12 +96,14 @@ class StepFunction:
 
 
 def _isotonic_step_function(p: np.ndarray, t: np.ndarray) -> StepFunction:
-    """Isotonic fit of targets t against scores p, returned as a step function.
+    """Isotonic fit of 0/1 targets t against scores p, returned as a step function.
 
     Tied scores are pre-pooled (weighted mean target), which leaves the
     least-squares solution unchanged and makes the knots strictly increasing.
+    Because the targets are 0 or 1, each pooled sum is an exact integer in
+    any order, so the sort need not be stable to give the same bits.
     """
-    order = np.argsort(p, kind="stable")
+    order = np.argsort(p)
     ps, ts = p[order], t[order].astype(float)
     ux, start = np.unique(ps, return_index=True)
     counts = np.diff(np.append(start, ps.shape[0]))

@@ -234,6 +234,31 @@ def test_irm_preserves_argmax():
     assert np.allclose(probs.sum(axis=1), 1.0)
 
 
+def stable_isotonic_step_function(p, t):
+    """The isotonic fit as it was written with a stable argsort: the bitwise
+    reference for the fitters' unstable sort."""
+    order = np.argsort(p, kind="stable")
+    ps, ts = p[order], t[order].astype(float)
+    ux, start = np.unique(ps, return_index=True)
+    counts = np.diff(np.append(start, ps.shape[0]))
+    sums = np.add.reduceat(ts, start)
+    return StepFunction(x=ux, y=pav(ux, sums / counts, counts.astype(float)))
+
+
+def test_isotonic_fits_on_tied_scores_match_stable_sort_bitwise():
+    ds = generate(SynthConfig(num_samples=4000, num_classes=4, regime="heteroscedastic", seed=29))
+    ds = Dataset(labels=ds.labels, logits=np.round(ds.logits))  # many tied scores
+    probs = softmax(ds.logits)
+    onehot = (ds.labels[:, None] == np.arange(ds.num_classes)).astype(float)
+    assert np.unique(probs).size < probs.size / 4
+    fitted = [(m, probs[:, c], onehot[:, c]) for c, m in enumerate(fit_irova(ds).maps)]
+    fitted.append((fit_irm(ds).shared_map, probs.ravel(), onehot.ravel()))
+    for got, p, t in fitted:
+        want = stable_isotonic_step_function(p, t)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+
+
 def test_irova_ts_composes():
     ds = generate(SynthConfig(num_samples=3000, regime="global_temp", seed=27))
     model = fit_irova_ts(ds, fit_ts(ds))

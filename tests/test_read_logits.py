@@ -1,13 +1,19 @@
 """read_logits parses canonical files in C (np.loadtxt) and falls back to the
 line-by-line parser for anything else. These tests check that the two paths
 agree bitwise, error messages included, and that canonical files never fall
-back."""
+back. Each check also runs with the split into blocks of rows forced on
+small files, and the last tests check that the forked block workers are
+always reaped and never forked beside another thread."""
 
+import os
+import signal
+import threading
 import warnings
 
 import pytest
 
 from calibkit import io_files
+from calibkit.cli import main
 from calibkit.errors import DataFormatError
 from calibkit.io_files import read_logits, write_logits
 from calibkit.synth import SynthConfig, generate
@@ -35,6 +41,28 @@ def assert_paths_agree(path):
     for got, want in zip(fast, slow):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def force_blocks(monkeypatch, cpus):
+    """Make read_logits split every file of two or more data lines into
+    min(cpus, lines) blocks; returns the list of os.fork calls made, each as
+    the number of threads alive at the call."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(threading.active_count())
+        return real_fork()
+
+    monkeypatch.setattr(io_files, "VALUES_PER_WORKER", 1)
+    monkeypatch.setattr(io_files, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _header(c):
@@ -86,6 +114,15 @@ def test_fast_and_line_parser_agree_on_fixed_cases(tmp_path, name):
     assert_paths_agree(path)
 
 
+@pytest.mark.parametrize("name", list(FIXED_CASES))
+def test_fixed_cases_agree_in_blocks_of_one_or_two_lines(tmp_path, monkeypatch, name):
+    force_blocks(monkeypatch, cpus=4)
+    path = tmp_path / "logits.csv"
+    path.write_bytes(FIXED_CASES[name].encode("utf-8"))
+    assert_paths_agree(path)
+    assert_no_child_left()
+
+
 def test_no_loadtxt_warning_escapes(tmp_path):
     path = tmp_path / "logits.csv"
     path.write_text("label,z0,z1\n\n")
@@ -126,12 +163,17 @@ def _csv_texts(st):
     return st.integers(1, 3).flatmap(csv) | st.text(st.characters(codec="utf-8"), max_size=40)
 
 
-def test_fast_and_line_parser_agree_on_arbitrary_csv(tmp_path):
+def agree_on_arbitrary_csv(tmp_path, c_parsable_only=False):
+    """The property on 400 drawn texts; c_parsable_only drops the characters
+    that send a whole file to the line parser (non-ASCII and \x1f)."""
     hypothesis = pytest.importorskip("hypothesis")
     path = tmp_path / "logits.csv"
+    texts = _csv_texts(hypothesis.strategies)
+    if c_parsable_only:
+        texts = texts.map(lambda t: t.encode("ascii", "ignore").decode().replace("\x1f", ""))
 
     @hypothesis.settings(max_examples=400, deadline=None)
-    @hypothesis.given(_csv_texts(hypothesis.strategies))
+    @hypothesis.given(texts)
     def check(text):
         path.write_bytes(text.encode("utf-8"))
         assert_paths_agree(path)
@@ -139,13 +181,22 @@ def test_fast_and_line_parser_agree_on_arbitrary_csv(tmp_path):
     check()
 
 
+def test_fast_and_line_parser_agree_on_arbitrary_csv(tmp_path):
+    agree_on_arbitrary_csv(tmp_path)
+
+
+def test_fast_and_line_parser_agree_on_arbitrary_csv_in_blocks(tmp_path, monkeypatch):
+    forks = force_blocks(monkeypatch, cpus=4)
+    agree_on_arbitrary_csv(tmp_path, c_parsable_only=True)
+    assert len(forks) > 200  # most drawn files have two or more data lines
+    assert_no_child_left()
+
+
 def _no_fallback(*args):
     raise AssertionError("read_logits fell back to the line parser")
 
 
-@pytest.mark.parametrize("rows", [1, 20_000])
-@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
-def test_canonical_files_take_the_fast_path(tmp_path, monkeypatch, rows, line_end):
+def assert_fast_path(tmp_path, monkeypatch, rows, line_end):
     ds = generate(SynthConfig(num_samples=rows, regime="heteroscedastic", seed=rows))
     path = tmp_path / "logits.csv"
     write_logits(ds, path)
@@ -156,3 +207,133 @@ def test_canonical_files_take_the_fast_path(tmp_path, monkeypatch, rows, line_en
     assert back.labels.tobytes() == ds.labels.tobytes()
     assert back.logits.tobytes() == ds.logits.tobytes()
     assert back.logits.flags.c_contiguous and back.labels.flags.c_contiguous
+
+
+@pytest.mark.parametrize("rows", [1, 20_000])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_canonical_files_take_the_fast_path(tmp_path, monkeypatch, rows, line_end):
+    assert_fast_path(tmp_path, monkeypatch, rows, line_end)
+
+
+@pytest.mark.parametrize("rows", [1, 20_000])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_canonical_files_take_the_fast_path_in_blocks(tmp_path, monkeypatch, rows, line_end):
+    forks = force_blocks(monkeypatch, cpus=3)
+    assert_fast_path(tmp_path, monkeypatch, rows, line_end)
+    assert len(forks) == min(3, rows) - 1
+    assert_no_child_left()
+
+
+def test_bad_row_in_a_child_block_gives_the_line_parser_message(tmp_path, monkeypatch):
+    forks = force_blocks(monkeypatch, cpus=2)
+    path = tmp_path / "logits.csv"
+    path.write_text("label,z0,z1\n0,1,2\n1,2,3\n0,3,4\n1,4,x\n")
+    with pytest.raises(DataFormatError) as exc:
+        read_logits(path)
+    assert str(exc.value) == f"{path}: line 5: could not convert string to float: 'x'"
+    assert forks == [1]
+    assert_no_child_left()
+
+
+def test_fork_that_raises_oserror_gives_the_one_block_parse(tmp_path, monkeypatch):
+    ds = generate(SynthConfig(num_samples=200, regime="heteroscedastic", seed=3))
+    test, model = tmp_path / "test.csv", tmp_path / "ts.json"
+    write_logits(ds, test)
+    assert main(["fit", "--method", "ts", "--val", str(test), "--out", str(model)]) == 0
+    force_blocks(monkeypatch, cpus=2)
+    calls = []
+
+    def no_fork():
+        calls.append(1)
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    back = read_logits(test)
+    assert back.labels.tobytes() == ds.labels.tobytes()
+    assert back.logits.tobytes() == ds.logits.tobytes()
+    assert main(["eval", "--model", str(model), "--test", str(test)]) == 0
+    assert len(calls) == 2
+
+
+def test_read_in_blocks_leaves_no_child_on_return_or_error(tmp_path, monkeypatch):
+    ds = generate(SynthConfig(num_samples=50, regime="heteroscedastic", seed=4))
+    path = tmp_path / "logits.csv"
+    write_logits(ds, path)
+    forks = force_blocks(monkeypatch, cpus=3)
+    assert read_logits(path).logits.tobytes() == ds.logits.tobytes()
+    assert_no_child_left()
+    good = path.read_text()
+    # a bad row in the last child's block, then in this process's block
+    path.write_text(good + "0,1\n")
+    with pytest.raises(DataFormatError, match="line 52: expected 11 columns, got 2"):
+        read_logits(path)
+    assert_no_child_left()
+    header, rows = good.split("\n", 1)
+    path.write_text(f"{header}\n0,1\n{rows}")
+    with pytest.raises(DataFormatError, match="line 2: expected 11 columns, got 2"):
+        read_logits(path)
+    assert_no_child_left()
+    assert forks == [1] * 6
+
+
+def test_worker_killed_mid_parse_falls_back_and_is_reaped(tmp_path, monkeypatch):
+    ds = generate(SynthConfig(num_samples=50, regime="heteroscedastic", seed=5))
+    path = tmp_path / "logits.csv"
+    write_logits(ds, path)
+    forks = force_blocks(monkeypatch, cpus=2)
+    parent, real_load = os.getpid(), io_files._load_rows
+
+    def load_or_die(lines, dtype):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_load(lines, dtype)
+
+    monkeypatch.setattr(io_files, "_load_rows", load_or_die)
+    back = read_logits(path)
+    assert back.labels.tobytes() == ds.labels.tobytes()
+    assert back.logits.tobytes() == ds.logits.tobytes()
+    assert forks == [1]
+    assert_no_child_left()
+
+
+def test_worker_that_raises_never_returns_into_the_caller(tmp_path, monkeypatch):
+    ds = generate(SynthConfig(num_samples=50, regime="heteroscedastic", seed=7))
+    path = tmp_path / "logits.csv"
+    write_logits(ds, path)
+    force_blocks(monkeypatch, cpus=2)
+    parent, real_load = os.getpid(), io_files._load_rows
+
+    def load_or_raise(lines, dtype):
+        if os.getpid() != parent:
+            raise RuntimeError("not a ValueError")
+        return real_load(lines, dtype)
+
+    monkeypatch.setattr(io_files, "_load_rows", load_or_raise)
+    try:
+        back = read_logits(path)
+    except RuntimeError:
+        if os.getpid() != parent:  # the worker came back into the caller: end it
+            os._exit(0)
+        raise
+    assert back.labels.tobytes() == ds.labels.tobytes()
+    assert back.logits.tobytes() == ds.logits.tobytes()
+    assert_no_child_left()
+
+
+def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch):
+    ds = generate(SynthConfig(num_samples=50, regime="heteroscedastic", seed=6))
+    path = tmp_path / "logits.csv"
+    write_logits(ds, path)
+    forks = force_blocks(monkeypatch, cpus=2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(30,))
+    thread.start()
+    try:
+        assert read_logits(path).logits.tobytes() == ds.logits.tobytes()
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert forks == []
+    assert read_logits(path).logits.tobytes() == ds.logits.tobytes()
+    assert forks == [1]
