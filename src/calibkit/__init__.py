@@ -7,7 +7,6 @@ from .metrics import (
     BinStats,
     EceReport,
     accuracy,
-    bin_equal_width,
     ece,
     ece_equal_mass,
     ece_kde,
@@ -40,7 +39,7 @@ from .binning import (
     fit_pbmc,
     pav,
 )
-from .synth import SynthConfig, generate, oracle_calibrated_probs, split
+from .synth import SynthConfig, generate, split
 from .io_files import load_model, read_logits, save_model, write_logits
 from .errors import DataFormatError, NumericalError
 

@@ -130,12 +130,12 @@ def _check_bin_outputs(edges: np.ndarray, outputs: np.ndarray) -> None:
         raise ValueError(f"{len(outputs)} bin outputs for {len(edges)} internal edges")
 
 
-def _replace_top_confidence(probs: np.ndarray, new_top: np.ndarray, preserve_argmax: bool) -> np.ndarray:
-    """Rebuild full probability vectors around a recalibrated top-label score:
-    the non-top entries are rescaled to share 1 - new_top proportionally."""
+def _replace_top_confidence(probs: np.ndarray, pred: np.ndarray, new_top: np.ndarray, preserve_argmax: bool) -> np.ndarray:
+    """Rebuild full probability vectors around a recalibrated score for class
+    pred, the argmax of the logits (rounding can tie another class with it in
+    probs): the non-top entries are rescaled to share 1 - new_top proportionally."""
     n, c = probs.shape
     rows = np.arange(n)
-    pred = np.argmax(probs, axis=1)
     top = probs[rows, pred]
     rest = 1.0 - top
     q = np.clip(new_top, 0.0, 1.0)
@@ -168,7 +168,7 @@ class HistBinModel:
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         probs = softmax(logits)
         q = self.apply_confidence(probs.max(axis=1))
-        return _replace_top_confidence(probs, q, preserve_argmax=False)
+        return _replace_top_confidence(probs, np.argmax(logits, axis=1), q, preserve_argmax=False)
 
     def to_params(self) -> dict:
         return {"edges": self.edges.tolist(), "outputs": self.outputs.tolist()}
@@ -320,7 +320,7 @@ class PbmcModel:
         probs = apply_temperature(logits, self.temperature)
         conf = probs.max(axis=1)
         q = self.outputs[_bin_lookup(self.edges, conf)]
-        return _replace_top_confidence(probs, q, preserve_argmax=True)
+        return _replace_top_confidence(probs, np.argmax(logits, axis=1), q, preserve_argmax=True)
 
     def to_params(self) -> dict:
         return {"temperature": self.temperature, "edges": self.edges.tolist(), "outputs": self.outputs.tolist()}

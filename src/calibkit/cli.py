@@ -18,6 +18,7 @@ from .metrics import KDE_MIN_SAMPLES
 from .io_files import (
     _fmt,
     _fmt_column,
+    canonical_json,
     load_model,
     read_logits,
     save_model,
@@ -158,8 +159,6 @@ def _emit_report(report: dict, out: str | None) -> None:
     if out:
         write_json(report, out)
     else:
-        from .io_files import canonical_json
-
         sys.stdout.write(canonical_json(report) + "\n")
 
 
@@ -194,7 +193,7 @@ def cmd_fit(args) -> int:
     loss = args.losses[0] if args.losses else None
     val = read_logits(args.val)
     model = experiments.fit_method(args.method, val, loss, **_train_settings(args))
-    save_model(model, args.out, num_classes=val.num_classes)
+    save_model(model, args.out)
     return EXIT_OK
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Sequence
 
 import numpy as np
@@ -70,25 +70,14 @@ def fit_method(method: str, dataset: Dataset, loss: str | None = None, **setting
 
 def evaluate_probs(probs: np.ndarray, dataset: Dataset, bins: Sequence[int]) -> dict:
     preds = Predictions.from_probs(probs, dataset.labels)
-    block = {
-        "ece_equal_width": {str(m): ece(preds, m, d=1).value for m in bins},
+    return {
+        "ece_equal_width": {str(m): ece(preds, m).value for m in bins},
         "ece_equal_mass": ece_equal_mass(preds, bins[0]).value,
         "ece_kde": ece_kde(preds).value,
         "accuracy": accuracy(preds),
         "nll": nll(dataset, probs),
-        "reliability": [
-            {
-                "bin": s.bin_index,
-                "count": s.count,
-                "mean_confidence": s.mean_confidence,
-                "accuracy": s.accuracy,
-                "lower": s.lower,
-                "upper": s.upper,
-            }
-            for s in reliability_data(preds, bins[0])
-        ],
+        "reliability": [asdict(s) for s in reliability_data(preds, bins[0])],
     }
-    return block
 
 
 def evaluate_model(model, dataset: Dataset, bins: Sequence[int]) -> dict:
@@ -133,7 +122,7 @@ def _oracle_pair(oracle: dict, seed: int) -> tuple[Dataset, Dataset]:
 
 def _test_ece(model, test: Dataset) -> float:
     preds = Predictions.from_probs(model.apply_probs(test.logits), test.labels)
-    return ece(preds, 10, d=1).value
+    return ece(preds, 10).value
 
 
 def run_capacity(config: PtsTrainConfig, widths=(1, 2, 5, 10, 20), **_) -> list[dict]:
@@ -160,7 +149,7 @@ def run_bins_sweep(config: PtsTrainConfig, bins=range(5, 21, 2), **_) -> list[di
     rows = []
     for name, _, model, _ in fit_methods(("ts", "ets", "pts"), val, config):
         preds = Predictions.from_probs(model.apply_probs(test.logits), test.labels)  # one apply per model
-        rows += [{"method": name, "num_bins": int(m), "test_ece": ece(preds, m, d=1).value} for m in bins]
+        rows += [{"method": name, "num_bins": int(m), "test_ece": ece(preds, m).value} for m in bins]
     return rows
 
 

@@ -243,13 +243,9 @@ def _parse_rows(path: str | Path, lines: list[str], c: int) -> Dataset:
     return Dataset(labels=np.array(labels, dtype=np.int64), logits=values)
 
 
-def model_to_dict(model, num_classes: int | None = None) -> dict:
-    """The model file document; num_classes is needed only for TS, whose
-    model does not carry it."""
-    num_classes = getattr(model, "num_classes", num_classes)
-    if num_classes is None:
-        raise ValueError("num_classes required for this model kind")
-    return {"kind": model.kind, "version": SCHEMA_VERSION, "num_classes": num_classes, "params": model.to_params()}
+def model_to_dict(model) -> dict:
+    """The model file document."""
+    return {"kind": model.kind, "version": SCHEMA_VERSION, "num_classes": model.num_classes, "params": model.to_params()}
 
 
 def _finite_numbers(doc) -> bool:
@@ -287,8 +283,8 @@ def model_from_dict(doc: dict, num_classes: int | None = None):
     return model
 
 
-def save_model(model, path: str | Path, num_classes: int | None = None) -> None:
-    write_json(model_to_dict(model, num_classes), path)
+def save_model(model, path: str | Path) -> None:
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path: str | Path, num_classes: int | None = None):

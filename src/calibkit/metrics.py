@@ -21,7 +21,7 @@ KDE_MIN_SAMPLES = 10
 class BinStats:
     """Count, mean confidence and accuracy of one confidence bin."""
 
-    bin_index: int
+    bin: int  # 1-based
     count: int
     mean_confidence: float
     accuracy: float
@@ -31,9 +31,7 @@ class BinStats:
 
 @dataclass(frozen=True)
 class EceReport:
-    metric_kind: str  # equal_width | equal_mass | kde
     value: float
-    num_bins: Optional[int] = None
     bandwidth: Optional[float] = None
     bins: tuple[BinStats, ...] = ()
 
@@ -67,8 +65,9 @@ def equal_width_totals(conf: np.ndarray, correct: np.ndarray, num_bins: int):
     return idx, counts, sum_conf, sum_corr
 
 
-def bin_equal_width(preds: Predictions, num_bins: int) -> list[BinStats]:
-    """Partition predictions into num_bins equal-width bins ((m-1)/M, m/M].
+def reliability_data(preds: Predictions, num_bins: int) -> list[BinStats]:
+    """Partition predictions into num_bins equal-width bins ((m-1)/M, m/M],
+    the data of a reliability diagram.
 
     A confidence of exactly 0 is assigned to the first bin. Empty bins are
     returned with count 0 and zero confidence/accuracy.
@@ -81,7 +80,7 @@ def bin_equal_width(preds: Predictions, num_bins: int) -> list[BinStats]:
         c = int(counts[m])
         stats.append(
             BinStats(
-                bin_index=m + 1,
+                bin=m + 1,
                 count=c,
                 mean_confidence=float(sum_conf[m] / c) if c else 0.0,
                 accuracy=float(sum_corr[m] / c) if c else 0.0,
@@ -92,24 +91,17 @@ def bin_equal_width(preds: Predictions, num_bins: int) -> list[BinStats]:
     return stats
 
 
-def ece(preds: Predictions, num_bins: int, d: int = 1) -> EceReport:
-    """Binned expected calibration error with equal-width bins.
-
-    d=1 uses the absolute gap |acc - conf| per bin, d=2 the squared gap.
-    """
-    if d not in (1, 2):
-        raise ValueError("d must be 1 or 2")
+def ece(preds: Predictions, num_bins: int) -> EceReport:
+    """Binned expected calibration error with equal-width bins: the
+    count-weighted absolute gap |acc - conf| per bin."""
     if len(preds) == 0:
         raise ValueError("need at least one prediction")
-    stats = bin_equal_width(preds, num_bins)
-    n = len(preds)
+    stats = reliability_data(preds, num_bins)
     value = 0.0
     for s in stats:
-        if s.count == 0:
-            continue
-        gap = s.accuracy - s.mean_confidence
-        value += (s.count / n) * (abs(gap) if d == 1 else gap * gap)
-    return EceReport(metric_kind="equal_width", value=value, num_bins=num_bins, bins=tuple(stats))
+        if s.count:
+            value += (s.count / len(preds)) * abs(s.accuracy - s.mean_confidence)
+    return EceReport(value=value, bins=tuple(stats))
 
 
 def _equal_mass_groups(conf: np.ndarray, num_bins: int) -> list[np.ndarray]:
@@ -145,7 +137,7 @@ def ece_equal_mass(preds: Predictions, num_bins: int) -> EceReport:
         upper = float(conf[g].max()) if m < len(groups) - 1 else 1.0
         stats.append(
             BinStats(
-                bin_index=m + 1,
+                bin=m + 1,
                 count=int(g.size),
                 mean_confidence=mc,
                 accuracy=acc,
@@ -155,7 +147,7 @@ def ece_equal_mass(preds: Predictions, num_bins: int) -> EceReport:
         )
         value += (g.size / n) * abs(acc - mc)
         lower = upper
-    return EceReport(metric_kind="equal_mass", value=value, num_bins=num_bins, bins=tuple(stats))
+    return EceReport(value=value, bins=tuple(stats))
 
 
 def ece_kde(preds: Predictions) -> EceReport:
@@ -170,7 +162,7 @@ def ece_kde(preds: Predictions) -> EceReport:
     if sigma == 0.0:
         # degenerate spectrum: single confidence level
         value = abs(float(corr.mean()) - float(conf[0]))
-        return EceReport(metric_kind="kde", value=value, bandwidth=0.0)
+        return EceReport(value=value, bandwidth=0.0)
     lo, hi = float(conf.min()), float(conf.max())
     h = float(np.clip(1.06 * sigma * n ** (-0.2), *KDE_BANDWIDTH_RANGE))
     grid = np.linspace(lo, hi, KDE_GRID_POINTS)
@@ -195,7 +187,7 @@ def ece_kde(preds: Predictions) -> EceReport:
         wsum = w.sum(axis=1)
         acc_hat = (w @ corr[a:b]) / np.maximum(wsum, PROB_FLOOR)
         value += float(np.sum(np.abs(acc_hat - g) * (wsum / norm)) * dp)
-    return EceReport(metric_kind="kde", value=value, bandwidth=h)
+    return EceReport(value=value, bandwidth=h)
 
 
 def accuracy(preds: Predictions) -> float:
@@ -211,8 +203,3 @@ def nll(dataset: Dataset, probs: np.ndarray) -> float:
         raise ValueError("probability matrix must match the dataset shape")
     p_label = probs[np.arange(len(dataset)), dataset.labels]
     return float(-np.log(np.maximum(p_label, PROB_FLOOR)).mean())
-
-
-def reliability_data(preds: Predictions, num_bins: int) -> list[BinStats]:
-    """Equal-width bin stats serialized for external reliability-diagram plotting."""
-    return bin_equal_width(preds, num_bins)

@@ -31,12 +31,12 @@ LOSSES = ("mse", "ece")
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_minimize(f, a: float, b: float, tol: float = GOLDEN_TOL) -> float:
-    """Golden-section search for the minimizer of a unimodal f on [a, b]."""
+def golden_section_minimize(f, a: float, b: float) -> float:
+    """Golden-section search, to GOLDEN_TOL, for the minimizer of a unimodal f on [a, b]."""
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -72,6 +72,7 @@ def apply_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
 @dataclass(frozen=True)
 class TsModel:
     temperature: float
+    num_classes: int
 
     kind = "ts"
 
@@ -84,7 +85,7 @@ class TsModel:
 
     @classmethod
     def from_params(cls, p: dict, num_classes: int) -> "TsModel":
-        return cls(temperature=p["temperature"])
+        return cls(temperature=p["temperature"], num_classes=num_classes)
 
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         return apply_temperature(logits, self.temperature)
@@ -121,7 +122,7 @@ def fit_ts(dataset: Dataset) -> TsModel:
         lambda u: _nll_at_temperature(logits, row_max, label_logits, math.exp(u)),
         *LOG_T_RANGE,
     )
-    return TsModel(temperature=math.exp(log_t))
+    return TsModel(temperature=math.exp(log_t), num_classes=dataset.num_classes)
 
 
 @dataclass(frozen=True)
@@ -348,18 +349,6 @@ class PtsModel:
         )
 
 
-def pts_constant_model(temperature: float, num_classes: int, config: PtsTrainConfig | None = None) -> PtsModel:
-    """A PTS model pinned to a constant temperature (zero weights, output bias
-    chosen so t_min + softplus(bias) == temperature). Used as a TS-equivalent
-    reference point."""
-    cfg = config or PtsTrainConfig()
-    widths = [cfg.topk, *cfg.hidden, 1]
-    mlp = init_mlp(widths, seed=0)
-    mlp.flat[:] = 0.0
-    mlp.biases[-1][0] = softplus_inverse(temperature - T_MIN)
-    return PtsModel(mlp=mlp, input_width=cfg.topk, num_classes=num_classes, config=cfg)
-
-
 def pts_temperature_batch(logits: np.ndarray, model: PtsModel) -> np.ndarray:
     zs = sorted_topk_matrix(np.asarray(logits, dtype=float), model.input_width)
     raw, _ = forward_batch(model.mlp, zs)
@@ -428,12 +417,11 @@ def _ece_loss_and_dq(q: np.ndarray, correct: np.ndarray, num_bins: int):
     return loss, dq, idx
 
 
-def pts_ece_loss(model: PtsModel, dataset: Dataset, num_bins: int | None = None) -> float:
+def pts_ece_loss(model: PtsModel, dataset: Dataset) -> float:
     """Full-dataset value of the squared-gap binned training objective."""
-    m = num_bins or model.config.num_bins
     pred = np.argmax(dataset.logits, axis=1)
     q, _ = _pts_q_batch(model.mlp, sorted_topk_matrix(dataset.logits, model.input_width), dataset.logits, model.t_min)
-    loss, _, _ = _ece_loss_and_dq(q, pred == dataset.labels, m)
+    loss, _, _ = _ece_loss_and_dq(q, pred == dataset.labels, model.config.num_bins)
     return loss
 
 

@@ -55,37 +55,6 @@ def _per_sample_scale(true_logits: np.ndarray, config: SynthConfig) -> np.ndarra
     return 1.0 + config.slope * gap * gap
 
 
-def _invert_scale(emitted_logits: np.ndarray, config: SynthConfig) -> np.ndarray:
-    """Recover the per-sample scale from emitted logits (the inverse map)."""
-    if config.regime == "global_temp":
-        return np.full(emitted_logits.shape[0], config.scale)
-    g = _top_gap(emitted_logits)
-    a = config.slope
-    if config.regime == "heteroscedastic":
-        if a == 0:
-            true_gap = g / config.base
-        else:
-            b = config.base
-            true_gap = (-b + np.sqrt(b * b + 4.0 * a * g)) / (2.0 * a)
-        return config.base + a * true_gap
-    # overconfident_tail: solve a*x^3 + x - g = 0 for the true gap x (Cardano,
-    # single real root since a >= 0)
-    if a == 0:
-        true_gap = g
-    else:
-        p = 1.0 / a
-        q = -g / a
-        disc = np.sqrt(q * q / 4.0 + p**3 / 27.0)
-        true_gap = np.cbrt(-q / 2.0 + disc) + np.cbrt(-q / 2.0 - disc)
-    return 1.0 + a * true_gap * true_gap
-
-
-def oracle_calibrated_probs(emitted_logits: np.ndarray, config: SynthConfig) -> np.ndarray:
-    """Apply the regime's inverse map: the label-generating probabilities."""
-    scale = _invert_scale(np.asarray(emitted_logits, dtype=float), config)
-    return softmax(emitted_logits / scale[:, None])
-
-
 def generate(config: SynthConfig) -> Dataset:
     """Draw true logits from a Gaussian mixture over class means, sample labels
     from softmax(true logits), then emit miscalibrated logits by the regime's

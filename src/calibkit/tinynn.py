@@ -1,10 +1,10 @@
-"""Minimal fully-connected network: forward, reverse-mode gradients, Adam,
-and finite-difference gradient checking. Double precision throughout."""
+"""Minimal fully-connected network: forward, reverse-mode gradients and Adam.
+Double precision throughout."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class MlpParams:
     def widths(self) -> list[int]:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.weights, self.biases)
-
     def check_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.flat)))
 
@@ -58,10 +55,8 @@ class AdamState:
     eps: float = 1e-8
 
 
-def init_mlp(widths: Sequence[int], seed: int | None = None, rng: np.random.Generator | None = None) -> MlpParams:
+def init_mlp(widths: Sequence[int], rng: np.random.Generator) -> MlpParams:
     """Symmetric uniform fan-in/fan-out init (+-sqrt(6/(fan_in+fan_out))), zero biases."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -138,46 +133,3 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) 
     v += (1 - b2) * g * g
     params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return params, state
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_error: float
-    num_checked: int
-
-
-def grad_check(
-    params: MlpParams,
-    loss_fn: Callable[[MlpParams], tuple[float, MlpParams]],
-    h: float = 1e-5,
-) -> GradCheckReport:
-    """Compare loss_fn's analytic gradients against central finite differences
-    on every parameter entry; returns the maximum relative error."""
-    _, analytic = loss_fn(params)
-    work = params.copy()
-    max_err = 0.0
-    count = 0
-
-    def check_array(arr: np.ndarray, ga: np.ndarray):
-        nonlocal max_err, count
-        flat = arr.reshape(-1)
-        gflat = ga.reshape(-1)
-        for j in range(flat.shape[0]):
-            orig = flat[j]
-            flat[j] = orig + h
-            lp, _ = loss_fn(work)
-            flat[j] = orig - h
-            lm, _ = loss_fn(work)
-            flat[j] = orig
-            fd = (lp - lm) / (2 * h)
-            g = gflat[j]
-            diff = abs(g - fd)
-            scale = max(abs(g), abs(fd))
-            err = 0.0 if diff <= 1e-9 else diff / max(scale, 1e-8)
-            max_err = max(max_err, err)
-            count += 1
-
-    for i in range(len(work.weights)):
-        check_array(work.weights[i], analytic.weights[i])
-        check_array(work.biases[i], analytic.biases[i])
-    return GradCheckReport(max_rel_error=max_err, num_checked=count)

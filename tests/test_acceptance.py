@@ -26,7 +26,7 @@ from calibkit.scaling import (
     fit_ts,
 )
 from calibkit.synth import SynthConfig, generate, split
-from calibkit.tinynn import grad_check
+from oracles import grad_check
 from calibkit.io_files import write_logits
 
 SEED = 17
@@ -139,7 +139,7 @@ def test_criterion_05_hand_computed_fixtures():
         confidence=np.array([0.9, 0.8, 0.7, 0.3]),
         correct=np.array([True, True, False, False]),
     )
-    ew = ece(preds, 2, d=1).value
+    ew = ece(preds, 2).value
     em = ece_equal_mass(preds, 2).value
     ok = abs(ew - 0.175) <= 1e-12 and abs(em - 0.325) <= 1e-12
     report(f"CRITERION 5 {'PASS' if ok else 'FAIL'}: equal-width {ew:.12f} (want 0.175), equal-mass {em:.12f} (want 0.325)")

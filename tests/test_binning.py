@@ -12,6 +12,7 @@ from calibkit.binning import (
     pav,
 )
 from calibkit.core import Dataset, softmax
+from calibkit.experiments import fit_method
 from calibkit.scaling import fit_ts
 from calibkit.synth import SynthConfig, generate
 
@@ -291,7 +292,7 @@ def test_pbmc_rejects_tiny_dataset():
 
 def test_replace_top_confidence_rescales_rest():
     probs = np.array([[0.5, 0.3, 0.2]])
-    out = _replace_top_confidence(probs, np.array([0.8]), preserve_argmax=False)
+    out = _replace_top_confidence(probs, np.array([0]), np.array([0.8]), preserve_argmax=False)
     assert out[0, 0] == pytest.approx(0.8)
     assert out[0, 1] == pytest.approx(0.2 * 0.3 / 0.5)
     assert out.sum() == pytest.approx(1.0)
@@ -299,8 +300,28 @@ def test_replace_top_confidence_rescales_rest():
 
 def test_replace_top_confidence_argmax_clamp():
     probs = np.array([[0.4, 0.35, 0.25]])
-    free = _replace_top_confidence(probs, np.array([0.1]), preserve_argmax=False)
+    free = _replace_top_confidence(probs, np.array([0]), np.array([0.1]), preserve_argmax=False)
     assert np.argmax(free[0]) != 0
-    clamped = _replace_top_confidence(probs, np.array([0.1]), preserve_argmax=True)
+    clamped = _replace_top_confidence(probs, np.array([0]), np.array([0.1]), preserve_argmax=True)
     assert np.argmax(clamped[0]) == 0
     assert clamped.sum() == pytest.approx(1.0)
+
+
+@pytest.fixture(scope="module")
+def near_ties():
+    """A 5 000-row fit set, and 4 000 rows of N(0, 9) logits whose runner-up
+    class (top + 1) mod 10 is one ulp below the top logit."""
+    rng = np.random.default_rng(0)
+    z = 3.0 * rng.standard_normal((4000, 10))
+    rows, top = np.arange(4000), np.argmax(z, axis=1)
+    z[rows, (top + 1) % 10] = np.nextafter(z[rows, top], -np.inf)
+    return generate(SynthConfig(num_samples=5000, regime="heteroscedastic", seed=17)), z, top
+
+
+@pytest.mark.parametrize("method,loss", [("ts", None), ("ets", "mse"), ("ets", "ece"), ("pts", None), ("irm", None), ("pbmc", None)])
+def test_near_ties_keep_the_top_class_at_the_row_maximum(near_ties, method, loss):
+    """The accuracy-preserving calibrators may round another class up to a tie
+    with the top logit's class, but never above it."""
+    fit_set, z, top = near_ties
+    p = fit_method(method, fit_set, loss, seed=17, num_bins=10, steps=200).apply_probs(z)
+    assert np.array_equal(p[np.arange(len(z)), top], p.max(axis=1))

@@ -26,8 +26,9 @@ from calibkit.io_files import (
     save_model,
     write_logits,
 )
-from calibkit.scaling import EtsModel, PtsTrainConfig, TsModel, fit_ets, fit_pts, fit_ts, pts_constant_model
+from calibkit.scaling import EtsModel, PtsTrainConfig, TsModel, fit_ets, fit_pts, fit_ts
 from calibkit.synth import SynthConfig, generate
+from oracles import pts_constant_model
 
 
 def small_dataset(seed=42, n=200):
@@ -163,7 +164,7 @@ def test_model_round_trips_all_kinds(tmp_path):
     probe = small_dataset(seed=43).logits
     for model in all_models(ds):
         path = tmp_path / "model.json"
-        save_model(model, path, num_classes=ds.num_classes)
+        save_model(model, path)
         loaded = load_model(path)
         assert type(loaded) is type(model)
         assert np.allclose(loaded.apply_probs(probe), model.apply_probs(probe), atol=1e-15)
@@ -172,8 +173,8 @@ def test_model_round_trips_all_kinds(tmp_path):
 def test_model_dict_round_trip_is_stable():
     ds = small_dataset()
     for model in all_models(ds):
-        doc = model_to_dict(model, num_classes=ds.num_classes)
-        again = model_to_dict(model_from_dict(doc), num_classes=ds.num_classes)
+        doc = model_to_dict(model)
+        again = model_to_dict(model_from_dict(doc))
         assert canonical_json(doc) == canonical_json(again)
 
 
@@ -309,10 +310,10 @@ def overflowing_models(val):
     """One model of each tempered kind with T < 1, so z/T overflows on
     finite logits near 1e307."""
     return {
-        "ts": TsModel(temperature=0.01),
+        "ts": TsModel(temperature=0.01, num_classes=4),
         "ets": EtsModel(temperature=0.01, weights=(0.5, 0.3, 0.2), num_classes=4),
         "pts": pts_constant_model(0.02, num_classes=4),
-        "irova_ts": replace(fit_irova_ts(val, fit_ts(val)), ts=TsModel(temperature=0.01)),
+        "irova_ts": replace(fit_irova_ts(val, fit_ts(val)), ts=TsModel(temperature=0.01, num_classes=4)),
         "pbmc": replace(fit_pbmc(val, num_bins=5, seed=1), temperature=0.01),
     }
 
@@ -325,7 +326,7 @@ def test_cli_apply_eval_overflowing_logits_exit_3(tmp_path, capsys, kind, comman
     huge = Dataset(labels=val.labels, logits=val.logits * 1e307)
     test, model = tmp_path / "huge.csv", tmp_path / "m.json"
     write_logits(huge, test)
-    save_model(overflowing_models(val)[kind], model, num_classes=4)
+    save_model(overflowing_models(val)[kind], model)
     argv = [command, "--model", str(model), "--test", str(test), "--out", str(tmp_path / "out")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would print more stderr lines
@@ -589,7 +590,7 @@ def golden_fit_set():
 def test_model_file_matches_golden_hash(tmp_path, golden_fit_set, kind):
     path = tmp_path / "m.json"
     method, _, loss = kind.partition("-")
-    save_model(fit_method(method, golden_fit_set, seed=17, num_bins=10, loss=loss or None), path, num_classes=10)
+    save_model(fit_method(method, golden_fit_set, seed=17, num_bins=10, loss=loss or None), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MODEL_FILES[kind]
 
 
@@ -691,7 +692,7 @@ def test_cli_experiment_gives_the_first_bin_count_to_every_fitter(tmp_path, monk
 
 def test_ets_and_irova_ts_start_from_the_given_ts_fit():
     ds = small_dataset()
-    ts = TsModel(temperature=1.7)
+    ts = TsModel(temperature=1.7, num_classes=ds.num_classes)
     assert fit_ets(ds, ts).temperature == 1.7
     assert fit_irova_ts(ds, ts).ts is ts
 

@@ -4,7 +4,6 @@ import pytest
 from calibkit.core import Dataset, Predictions
 from calibkit.metrics import (
     accuracy,
-    bin_equal_width,
     ece,
     ece_equal_mass,
     ece_kde,
@@ -24,7 +23,7 @@ def four_sample():
     )
 
 
-def naive_ece(conf, corr, m, d=1):
+def naive_ece(conf, corr, m):
     """Direct transcription of the binned gap formula, used as an oracle."""
     n = len(conf)
     total = 0.0
@@ -33,13 +32,12 @@ def naive_ece(conf, corr, m, d=1):
         mask = (conf > lo) & (conf <= hi) if b > 1 else (conf >= 0) & (conf <= hi)
         if not mask.any():
             continue
-        gap = corr[mask].mean() - conf[mask].mean()
-        total += (mask.sum() / n) * (abs(gap) if d == 1 else gap**2)
+        total += (mask.sum() / n) * abs(corr[mask].mean() - conf[mask].mean())
     return total
 
 
-def test_bin_equal_width_hand_partition():
-    stats = bin_equal_width(four_sample(), 2)
+def test_reliability_data_hand_partition():
+    stats = reliability_data(four_sample(), 2)
     assert stats[0].count == 1
     assert stats[0].mean_confidence == pytest.approx(0.3)
     assert stats[0].accuracy == 0.0
@@ -48,19 +46,19 @@ def test_bin_equal_width_hand_partition():
     assert stats[1].accuracy == pytest.approx(2 / 3)
 
 
-def test_bin_equal_width_empty_input():
-    stats = bin_equal_width(Predictions(np.array([], dtype=int), np.array([]), np.array([], dtype=bool)), 5)
+def test_reliability_data_empty_input():
+    stats = reliability_data(Predictions(np.array([], dtype=int), np.array([]), np.array([], dtype=bool)), 5)
     assert len(stats) == 5
     assert all(s.count == 0 and s.mean_confidence == 0.0 and s.accuracy == 0.0 for s in stats)
 
 
-def test_bin_equal_width_boundaries():
+def test_reliability_data_boundaries():
     preds = Predictions(np.zeros(3, dtype=int), np.array([1.0, 1.0, 1.0]), np.ones(3, dtype=bool))
-    stats = bin_equal_width(preds, 4)
+    stats = reliability_data(preds, 4)
     assert stats[-1].count == 3
     # confidence exactly 0 goes into the first bin
     preds0 = Predictions(np.zeros(1, dtype=int), np.array([0.0]), np.array([False]))
-    assert bin_equal_width(preds0, 4)[0].count == 1
+    assert reliability_data(preds0, 4)[0].count == 1
 
 
 # (M, m) pairs where ceil((m / M) * M) is m + 1, not m
@@ -71,9 +69,9 @@ EDGE_CASES = [(25, 7), (25, 14), (50, 14), (50, 28)]
 def test_confidence_on_an_edge_lands_in_the_bin_it_closes(num_bins, m):
     c = m / num_bins
     preds = Predictions(np.zeros(1, dtype=int), np.array([c]), np.array([True]))
-    for stats in (bin_equal_width(preds, num_bins), ece(preds, num_bins).bins):
+    for stats in (reliability_data(preds, num_bins), ece(preds, num_bins).bins):
         (hit,) = [s for s in stats if s.count]
-        assert hit.bin_index == m and hit.upper == c
+        assert hit.bin == m and hit.upper == c
 
 
 def test_equal_width_bins_match_searchsorted_on_float_edges():
@@ -87,13 +85,13 @@ def test_equal_width_bins_match_searchsorted_on_float_edges():
         assert np.array_equal(equal_width_bins(conf, num_bins), expected), num_bins
 
 
-def test_bin_equal_width_rejects_zero_bins():
+def test_reliability_data_rejects_zero_bins():
     with pytest.raises(ValueError):
-        bin_equal_width(four_sample(), 0)
+        reliability_data(four_sample(), 0)
 
 
 def test_ece_hand_value():
-    assert ece(four_sample(), 2, d=1).value == pytest.approx(0.175, abs=1e-12)
+    assert ece(four_sample(), 2).value == pytest.approx(0.175, abs=1e-12)
 
 
 def test_ece_perfectly_calibrated_degenerate():
@@ -114,10 +112,7 @@ def test_ece_matches_naive_oracle():
         corr = rng.uniform(size=n) < conf
         preds = Predictions(np.zeros(n, dtype=int), conf, corr)
         for m in (1, 2, 7, 15):
-            for d in (1, 2):
-                assert ece(preds, m, d=d).value == pytest.approx(
-                    naive_ece(conf, corr.astype(float), m, d), abs=1e-12
-                )
+            assert ece(preds, m).value == pytest.approx(naive_ece(conf, corr.astype(float), m), abs=1e-12)
 
 
 def test_ece_permutation_invariant():
@@ -130,11 +125,6 @@ def test_ece_permutation_invariant():
     assert ece(preds, 10).value == pytest.approx(ece(shuffled, 10).value, abs=1e-12)
     assert ece_equal_mass(preds, 10).value == pytest.approx(ece_equal_mass(shuffled, 10).value, abs=1e-12)
     assert ece_kde(preds).value == pytest.approx(ece_kde(shuffled).value, abs=1e-9)
-
-
-def test_ece_rejects_bad_degree():
-    with pytest.raises(ValueError):
-        ece(four_sample(), 2, d=3)
 
 
 def test_ece_equal_mass_hand_value():
@@ -212,8 +202,6 @@ def test_nll_clamps_zero_probabilities():
 
 
 def test_reliability_data_matches_binning():
-    stats = reliability_data(four_sample(), 2)
-    assert stats == bin_equal_width(four_sample(), 2)
     assert any(s.count == 0 for s in reliability_data(four_sample(), 10))
 
 

@@ -26,14 +26,13 @@ from calibkit.scaling import (
     fit_pts,
     fit_ts,
     golden_section_minimize,
-    pts_constant_model,
     pts_ece_loss,
     pts_temperature_batch,
     softplus,
     softplus_inverse,
 )
 from calibkit.synth import SynthConfig, generate
-from calibkit.tinynn import grad_check
+from oracles import grad_check, pts_constant_model
 
 
 def test_golden_section_quadratic():
@@ -52,7 +51,7 @@ def test_apply_temperature_rejects_nonpositive():
     with pytest.raises(ValueError):
         apply_temperature(np.zeros((1, 2)), 0.0)
     with pytest.raises(ValueError):
-        TsModel(temperature=-1.0)
+        TsModel(temperature=-1.0, num_classes=2)
 
 
 def test_fit_ts_recovers_global_scale():
@@ -193,7 +192,7 @@ def test_fit_ets_matches_exhaustive_search_on_all_equal_logits(num_classes, num_
     # 1/C is a bin edge when C divides M, so that rounding picks the bin
     labels = np.random.default_rng(num_classes).integers(0, num_classes, size=120)
     ds = Dataset(labels=labels, logits=np.full((120, num_classes), 0.75))
-    assert_fit_ets_matches_exhaustive(ds, TsModel(temperature=1.3), num_bins=num_bins)
+    assert_fit_ets_matches_exhaustive(ds, TsModel(temperature=1.3, num_classes=num_classes), num_bins=num_bins)
 
 
 @pytest.mark.parametrize("labels", ["duplicated", "all_correct", "all_wrong"])
@@ -204,7 +203,7 @@ def test_fit_ets_matches_exhaustive_search_on_degenerate_labels(labels):
         z, y = np.tile(z, (25, 1)), np.tile(y, 25)
     pred = np.argmax(z, axis=1)
     y = {"duplicated": y, "all_correct": pred, "all_wrong": (pred + 1) % 6}[labels]
-    assert_fit_ets_matches_exhaustive(Dataset(labels=y, logits=z), TsModel(temperature=0.6), num_bins=15)
+    assert_fit_ets_matches_exhaustive(Dataset(labels=y, logits=z), TsModel(temperature=0.6, num_classes=6), num_bins=15)
 
 
 def test_fit_ets_ece_search_matches_exhaustive_on_arbitrary_sets():
@@ -226,7 +225,7 @@ def test_fit_ets_ece_search_matches_exhaustive_on_arbitrary_sets():
         if decimals is not None:  # rounded logits give ties and repeated rows
             z = np.round(z, decimals)
         ds = Dataset(labels=y, logits=z)
-        assert_fit_ets_matches_exhaustive(ds, TsModel(temperature=temperature), num_bins=num_bins)
+        assert_fit_ets_matches_exhaustive(ds, TsModel(temperature=temperature, num_classes=c), num_bins=num_bins)
 
     check()
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from calibkit.core import softmax
-from calibkit.synth import SynthConfig, generate, oracle_calibrated_probs, split
+from calibkit.synth import SynthConfig, generate, split
+from oracles import oracle_calibrated_probs
 
 
 @pytest.mark.parametrize("regime", ["global_temp", "heteroscedastic", "overconfident_tail"])
