@@ -16,7 +16,7 @@ from .scaling import TsModel, apply_temperature, fit_ts
 IRM_STRICTNESS = 1e-6
 
 
-def pav(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+def pav(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted least-squares nondecreasing fit of ys over sorted xs.
 
     Classic pool-adjacent-violators: O(n) stack of blocks merged whenever a
@@ -34,7 +34,7 @@ def pav(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray | None = None) -> np
         raise ValueError("xs and ys must have equal length")
     if np.any(np.diff(xs) < 0):
         raise ValueError("xs must be sorted ascending")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
 

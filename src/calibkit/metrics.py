@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -36,6 +37,15 @@ class EceReport:
     bins: tuple[BinStats, ...] = ()
 
 
+@lru_cache(maxsize=64)
+def _lower_edges(num_bins: int) -> np.ndarray:
+    """The float edges m/M, m = 0..M, with -inf and inf at the ends; read-only."""
+    lower = np.arange(num_bins + 1) / num_bins
+    lower[0], lower[-1] = -np.inf, np.inf
+    lower.flags.writeable = False
+    return lower
+
+
 def equal_width_bins(conf: np.ndarray, num_bins: int) -> np.ndarray:
     """0-based equal-width bin of each confidence.
 
@@ -47,21 +57,27 @@ def equal_width_bins(conf: np.ndarray, num_bins: int) -> np.ndarray:
     c * M >= m after rounding), so one comparison with the lower edge of
     bin floor(c * M) settles it.
     """
-    lower = np.arange(num_bins + 1) / num_bins
-    lower[0], lower[-1] = -np.inf, np.inf
     idx = (conf * num_bins).astype(np.intp)
-    np.clip(idx, 0, num_bins, out=idx)
-    idx -= conf <= lower[idx]
+    # clip to [0, M] with two ufunc calls; np.clip's wrapper costs more than both
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, num_bins, out=idx)
+    idx -= conf <= _lower_edges(num_bins)[idx]
     return idx
 
 
 def equal_width_totals(conf: np.ndarray, correct: np.ndarray, num_bins: int):
     """Bin of each confidence, and per bin the count, the sum of confidences
-    and the number correct."""
+    and the number correct (correct is boolean).
+
+    One integer bincount over idx + M * correct gives each bin's wrong and
+    correct counts; the counts are exact integers, so the totals equal those
+    of separate bincounts.
+    """
     idx = equal_width_bins(conf, num_bins)
-    counts = np.bincount(idx, minlength=num_bins)
+    wrong_right = np.bincount(idx + num_bins * correct, minlength=2 * num_bins)
+    sum_corr = wrong_right[num_bins:]
+    counts = wrong_right[:num_bins] + sum_corr
     sum_conf = np.bincount(idx, weights=conf, minlength=num_bins)
-    sum_corr = np.bincount(idx, weights=correct, minlength=num_bins)
     return idx, counts, sum_conf, sum_corr
 
 

@@ -192,7 +192,6 @@ def _ets_mse_objective(p1: np.ndarray, p2: np.ndarray, labels: np.ndarray):
 def _ets_ece_objective(q1: np.ndarray, q2: np.ndarray, correct: np.ndarray, num_bins: int, num_classes: int):
     """Squared-gap equal-width ECE of the mixed confidence, as a function of w."""
     feats = np.stack([q1, q2, np.full_like(q1, 1.0 / num_classes)], axis=1)
-    corr = correct.astype(float)
     n = q1.shape[0]
 
     def value(w: np.ndarray) -> np.ndarray:
@@ -200,7 +199,7 @@ def _ets_ece_objective(q1: np.ndarray, q2: np.ndarray, correct: np.ndarray, num_
         out = np.empty(w.shape[0])
         for g in range(w.shape[0]):
             conf = feats @ w[g]
-            _, counts, sum_c, sum_a = equal_width_totals(conf, corr, num_bins)
+            _, counts, sum_c, sum_a = equal_width_totals(conf, correct, num_bins)
             nz = counts > 0
             gap = (sum_a[nz] - sum_c[nz]) / counts[nz]
             out[g] = float(((counts[nz] / n) * gap * gap).sum())
@@ -364,38 +363,79 @@ def apply_pts(logits: np.ndarray, model: PtsModel) -> np.ndarray:
     return _tempered_softmax(z, t[:, None])
 
 
+def _pairwise_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a (n, B) array into out, in numpy's pairwise order
+    for one contiguous run of n values: one by one below 8; 8 running sums,
+    added as a tree and followed by the rest, up to 128; halves (the first
+    rounded down to a multiple of 8) above that."""
+    n = a.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum(a[:half], out)
+        out += _pairwise_sum(a[half:], np.empty_like(out))
+        return out
+    if n < 8:
+        np.copyto(out, a[0])
+        rest = range(1, n)
+    else:
+        full = n - n % 8
+        acc = a[:8]
+        for i in range(8, full, 8):
+            acc = acc + a[i : i + 8]
+        pairs = acc[0::2] + acc[1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        quads = pairs[0::2] + pairs[1::2]
+        np.add(quads[0], quads[1], out=out)
+        rest = range(full, n)
+    for i in rest:
+        out += a[i]
+    return out
+
+
+def _class_sums(p: np.ndarray) -> np.ndarray:
+    """Sum over classes of a class-major (C, B) array p, as C contiguous
+    vector adds: bit for bit P.sum(axis=-1) of the C-contiguous (B, C) P = p.T.
+
+    numpy sums each row of C values pairwise from an initial +0.0, which
+    only turns a -0.0 sum into 0.0.
+    """
+    out = _pairwise_sum(p, np.empty(p.shape[1]))
+    out += 0.0
+    return out
+
+
 def _pts_q_batch(mlp: MlpParams, zs: np.ndarray, z: np.ndarray, t_min: float):
     """Calibrated confidences Q for a batch plus everything backward needs.
 
-    zs[:, 0] is each row's largest logit, so for T > 0 the row max of z/T is
-    zs[:, 0] / T exactly and softmax(z/T) needs no max reduction. The largest
-    entry is then exp(0) = 1, so Q is 1 / rowsum exactly. A non-finite z/T
-    (logits near the float range with T < 1) gives NaN, never an error;
-    callers check the loss.
+    zs is the (B, k) network input and z the batch's logits class-major,
+    (C, B). zs[:, 0] is each row's largest logit, so for T > 0 the row max
+    of z/T is zs[:, 0] / T exactly and softmax(z/T) needs no max reduction.
+    The largest entry is then exp(0) = 1, so Q is 1 / rowsum exactly. A
+    non-finite z/T (logits near the float range with T < 1) gives NaN, never
+    an error; callers check the loss.
     """
     raw, cache = forward_batch(mlp, zs)
     t = t_min + softplus(raw)
     top = zs[:, 0]
-    probs = z / t[:, None]
-    probs -= (top / t)[:, None]
+    probs = z / t
+    probs -= top / t
     np.exp(probs, out=probs)
-    rowsum = probs.sum(axis=-1, keepdims=True)
+    rowsum = _class_sums(probs)
     probs /= rowsum
-    q = 1.0 / rowsum[:, 0]
+    q = 1.0 / rowsum
     return q, (raw, cache, t, probs, q, top)
 
 
-def _pts_backward_q(mlp: MlpParams, aux, z: np.ndarray, dq: np.ndarray, out: MlpParams | None = None) -> MlpParams:
-    """Backpropagate per-sample dL/dQ through softmax(z/T) and the network.
+def _pts_backward_q(mlp: MlpParams, aux, z: np.ndarray, dq: np.ndarray, out: MlpParams) -> MlpParams:
+    """Backpropagate per-sample dL/dQ through softmax(z/T) and the network,
+    for the class-major z given to _pts_q_batch; the gradients go into out.
 
-    The gradients go into out when given, as in backward_batch. scipy is
-    imported here, so that only PTS training loads it; once it is loaded the
-    import costs well under a microsecond a step."""
+    scipy is imported here, so that only PTS training loads it; once it is
+    loaded the import costs well under a microsecond a step."""
     from scipy.special import expit
 
     raw, cache, t, probs, q, top = aux
     # dQ/dT = -(Q/T^2) * (z_pred - E_p[z]), and z_pred is the row's largest logit
-    expected_z = (probs * z).sum(axis=1)
+    expected_z = _class_sums(probs * z)
     dq_dt = -(q / (t * t)) * (top - expected_z)
     # dT/draw = sigmoid(raw)
     draw = dq * dq_dt * expit(raw)
@@ -413,14 +453,15 @@ def _ece_loss_and_dq(q: np.ndarray, correct: np.ndarray, num_bins: int):
     acc = sum_a / safe
     gap = acc - mean_q
     loss = float(((counts / beta) * gap * gap).sum())
-    dq = (2.0 / beta) * (mean_q - acc)[idx]
+    dq = ((2.0 / beta) * (mean_q - acc))[idx]  # per bin, then one gather
     return loss, dq, idx
 
 
 def pts_ece_loss(model: PtsModel, dataset: Dataset) -> float:
     """Full-dataset value of the squared-gap binned training objective."""
     pred = np.argmax(dataset.logits, axis=1)
-    q, _ = _pts_q_batch(model.mlp, sorted_topk_matrix(dataset.logits, model.input_width), dataset.logits, model.t_min)
+    zs = sorted_topk_matrix(dataset.logits, model.input_width)
+    q, _ = _pts_q_batch(model.mlp, zs, np.ascontiguousarray(dataset.logits.T), model.t_min)
     loss, _, _ = _ece_loss_and_dq(q, pred == dataset.labels, model.config.num_bins)
     return loss
 
@@ -480,14 +521,17 @@ def fit_pts(dataset: Dataset, config: PtsTrainConfig | None = None) -> PtsModel:
     corr_all = np.argmax(z_all, axis=1) == dataset.labels
     n = len(dataset)
 
-    # Logit rows are gathered into reused buffers (mode="clip" lets take
+    # Each batch is gathered into reused buffers (mode="clip" lets take
     # write into them unbuffered; the indices are in range). Gathering from a
     # C-contiguous top-k copy is several times cheaper than from the
     # reversed-stride view that sorted_topk_matrix returns. zs_all itself
     # stays the operand of the full-set passes, whose matmul results depend
-    # on the operand's memory layout.
+    # on the operand's memory layout. The logits are gathered class-major,
+    # one contiguous (B,) run per class, so the softmax's sums over classes
+    # are C vector adds.
     zs_rows = np.ascontiguousarray(zs_all)
-    z = np.empty((cfg.batch_size, z_all.shape[1]))
+    z_classes = np.ascontiguousarray(z_all.T)
+    z = np.empty((z_all.shape[1], cfg.batch_size))
     zs = np.empty((cfg.batch_size, cfg.topk))
     grads = zeros_like_params(mlp)
     state = adam_init(mlp)
@@ -497,8 +541,8 @@ def fit_pts(dataset: Dataset, config: PtsTrainConfig | None = None) -> PtsModel:
         if step and step % RESUSCITATE_EVERY == 0 and step <= last_resuscitation:
             _resuscitate_dead_units(mlp, zs_all)
         idx = rng.integers(0, n, size=cfg.batch_size)
-        np.take(z_all, idx, axis=0, out=z, mode="clip")
-        np.take(zs_rows, idx, axis=0, out=zs, mode="clip")
+        z_classes.take(idx, axis=1, out=z, mode="clip")
+        zs_rows.take(idx, axis=0, out=zs, mode="clip")
         corr = corr_all[idx]
         q, aux = _pts_q_batch(mlp, zs, z, T_MIN)
         if cfg.loss == "ece":

@@ -26,6 +26,7 @@ from calibkit.scaling import (
     fit_ts,
 )
 from calibkit.synth import SynthConfig, generate, split
+from calibkit.tinynn import zeros_like_params
 from oracles import grad_check
 from calibkit.io_files import write_logits
 
@@ -170,7 +171,7 @@ def test_criterion_06_pav_matches_brute_force():
         v1 = grid_isotonic(ys, coarse)
         fine = np.unique(np.concatenate([np.arange(v - 2e-3, v + 2e-3, 2e-7) for v in np.unique(v1)]))
         v2 = grid_isotonic(ys, fine)
-        worst = max(worst, float(np.abs(v2 - pav(np.arange(n, dtype=float), ys)).max()))
+        worst = max(worst, float(np.abs(v2 - pav(np.arange(n, dtype=float), ys, np.ones(n))).max()))
     ok = worst <= 1e-6
     report(f"CRITERION 6 {'PASS' if ok else 'FAIL'}: max |pav - grid search| = {worst:.2e} over 100 instances (want <= 1e-6)")
     assert ok
@@ -187,12 +188,12 @@ def test_criterion_07_gradient_correctness():
     worst = 0.0
     for _ in range(20):
         idx = rng.integers(0, len(ds), size=64)
-        z, zs, pred, corr = ds.logits[idx], zs_all[idx], pred_all[idx], corr_all[idx]
+        z, zs, pred, corr = ds.logits[idx].T.copy(), zs_all[idx], pred_all[idx], corr_all[idx]
 
         def loss_fn(params):
             q, aux = _pts_q_batch(params, zs, z, model.t_min)
             loss, dq, _ = _ece_loss_and_dq(q, corr, cfg.num_bins)
-            return loss, _pts_backward_q(params, aux, z, dq)
+            return loss, _pts_backward_q(params, aux, z, dq, out=zeros_like_params(params))
 
         worst = max(worst, grad_check(model.mlp, loss_fn, h=1e-5).max_rel_error)
     ok = worst <= 1e-4

@@ -11,7 +11,10 @@ import pytest
 
 import calibkit.cli
 import calibkit.experiments as experiments
+import calibkit.scaling
 from calibkit.core import Dataset
+from calibkit.scaling import PtsTrainConfig, fit_pts
+from calibkit.synth import SynthConfig, generate
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -26,6 +29,9 @@ FITTERS = {
     "irova_ts": "fit_irova_ts",
     "pbmc": "fit_pbmc",
 }
+
+# the calibkit.scaling attributes that the traced PTS step split times
+STEP_HELPERS = ("forward_batch", "_pts_q_batch", "_ece_loss_and_dq", "_pts_backward_q", "backward_batch", "adam_step")
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +68,22 @@ def test_fit_method_calls_the_patched_fitter(monkeypatch, kind):
     ds = Dataset(labels=np.array([0, 1]), logits=np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert experiments.fit_method(kind, ds, seed=3, num_bins=10) == "patched"
     assert len(calls) == 1 and calls[0][0] is ds
+
+
+def test_step_helpers_are_traced(tracing):
+    traced = {attr for module, attr, _ in tracing.PATCHES if module == "calibkit.scaling"}
+    assert set(STEP_HELPERS) <= traced
+
+
+def test_fit_pts_calls_each_step_helper_once_a_step(monkeypatch):
+    calls = dict.fromkeys(STEP_HELPERS, 0)
+    for name in STEP_HELPERS:
+
+        def counted(*args, _name=name, _fn=getattr(calibkit.scaling, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(calibkit.scaling, name, counted)
+    ds = generate(SynthConfig(num_samples=300, regime="heteroscedastic", seed=5))
+    fit_pts(ds, PtsTrainConfig(steps=7, batch_size=50))
+    assert calls == dict.fromkeys(STEP_HELPERS, 7)

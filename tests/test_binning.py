@@ -32,19 +32,19 @@ def isotonic_maxmin(ys):
 
 def test_pav_monotone_input_unchanged():
     ys = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(pav(np.arange(3.0), ys), ys)
+    assert np.array_equal(pav(np.arange(3.0), ys, np.ones(3)), ys)
 
 
 def test_pav_decreasing_input_pools_to_mean():
-    assert np.allclose(pav(np.arange(3.0), [3.0, 2.0, 1.0]), [2.0, 2.0, 2.0])
+    assert np.allclose(pav(np.arange(3.0), [3.0, 2.0, 1.0], np.ones(3)), [2.0, 2.0, 2.0])
 
 
 def test_pav_partial_pool():
-    assert np.allclose(pav(np.arange(3.0), [1.0, 3.0, 2.0]), [1.0, 2.5, 2.5])
+    assert np.allclose(pav(np.arange(3.0), [1.0, 3.0, 2.0], np.ones(3)), [1.0, 2.5, 2.5])
 
 
 def test_pav_weighted_hand_value():
-    fitted = pav(np.arange(3.0), [0.0, 1.0, 0.0], weights=[1.0, 1.0, 2.0])
+    fitted = pav(np.arange(3.0), [0.0, 1.0, 0.0], [1.0, 1.0, 2.0])
     assert np.allclose(fitted, [0.0, 1 / 3, 1 / 3])
 
 
@@ -53,24 +53,24 @@ def test_pav_matches_maxmin_oracle():
     for _ in range(100):
         n = int(rng.integers(1, 12))
         ys = rng.normal(size=n)
-        assert np.allclose(pav(np.arange(n, dtype=float), ys), isotonic_maxmin(ys), atol=1e-12)
+        assert np.allclose(pav(np.arange(n, dtype=float), ys, np.ones(n)), isotonic_maxmin(ys), atol=1e-12)
 
 
 def test_pav_idempotent():
     rng = np.random.default_rng(21)
     ys = rng.normal(size=40)
     xs = np.arange(40.0)
-    once = pav(xs, ys)
-    assert np.allclose(pav(xs, once), once, atol=1e-12)
+    once = pav(xs, ys, np.ones(40))
+    assert np.allclose(pav(xs, once, np.ones(40)), once, atol=1e-12)
 
 
 def test_pav_output_is_nondecreasing():
     rng = np.random.default_rng(22)
-    fitted = pav(np.arange(200.0), rng.normal(size=200))
+    fitted = pav(np.arange(200.0), rng.normal(size=200), np.ones(200))
     assert np.all(np.diff(fitted) >= -1e-12)
 
 
-def list_pav(xs, ys, weights=None):
+def list_pav(xs, ys, weights):
     """The list-based pool-adjacent-violators loop that pav replaced, kept as
     its bitwise oracle: pav must make the same merges with the same
     arithmetic."""
@@ -78,7 +78,7 @@ def list_pav(xs, ys, weights=None):
     n = ys.shape[0]
     if n == 0:
         return np.empty(0)
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     means, sizes, wsums = [], [], []
     with np.errstate(all="ignore"):
         for i in range(n):
@@ -97,6 +97,7 @@ def list_pav(xs, ys, weights=None):
 
 def assert_pav_matches_oracle(ys, weights=None):
     xs = np.arange(len(ys), dtype=float)
+    weights = np.ones(len(ys)) if weights is None else weights
     expected = list_pav(xs, ys, weights)
     with np.errstate(all="ignore"):
         got = pav(xs, ys, weights)
@@ -131,9 +132,10 @@ def test_pav_matches_list_oracle_bitwise(case):
 
 def test_pav_reads_strided_and_integer_inputs():
     ys = np.random.default_rng(6).normal(size=(40, 3))
-    assert pav(np.arange(40.0), ys[:, 1]).tobytes() == list_pav(np.arange(40.0), ys[:, 1].copy()).tobytes()
+    ones = np.ones(40)
+    assert pav(np.arange(40.0), ys[:, 1], ones).tobytes() == list_pav(np.arange(40.0), ys[:, 1].copy(), ones).tobytes()
     ints = [3, 1, 2, 2, 0, 5]
-    assert pav(np.arange(6.0), ints).tobytes() == list_pav(np.arange(6.0), ints).tobytes()
+    assert pav(np.arange(6.0), ints, ones[:6]).tobytes() == list_pav(np.arange(6.0), ints, ones[:6]).tobytes()
 
 
 def test_pav_matches_list_oracle_on_arbitrary_inputs():
@@ -154,12 +156,12 @@ def test_pav_matches_list_oracle_on_arbitrary_inputs():
 
 def test_pav_validation():
     with pytest.raises(ValueError):
-        pav(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        pav(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.ones(2))
     with pytest.raises(ValueError):
-        pav(np.arange(2.0), np.zeros(3))
+        pav(np.arange(2.0), np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):
-        pav(np.arange(2.0), np.zeros(2), weights=[1.0, 0.0])
-    assert pav(np.empty(0), np.empty(0)).size == 0
+        pav(np.arange(2.0), np.zeros(2), [1.0, 0.0])
+    assert pav(np.empty(0), np.empty(0), np.empty(0)).size == 0
 
 
 def test_step_function_lookup():

@@ -8,6 +8,7 @@ from calibkit.metrics import (
     ece_equal_mass,
     ece_kde,
     equal_width_bins,
+    equal_width_totals,
     nll,
     reliability_data,
 )
@@ -83,6 +84,20 @@ def test_equal_width_bins_match_searchsorted_on_float_edges():
         )
         expected = np.searchsorted(np.arange(1, num_bins) / num_bins, conf, side="left")
         assert np.array_equal(equal_width_bins(conf, num_bins), expected), num_bins
+
+
+def test_equal_width_totals_equal_separate_bincounts():
+    rng = np.random.default_rng(4)
+    for num_bins in (1, 2, 10, 15, 37):
+        edges = np.arange(num_bins + 1) / num_bins
+        conf = np.concatenate([rng.uniform(size=1000), edges, np.nextafter(edges, 2.0), [-0.0, 1e-300]])
+        for correct in (rng.random(conf.size) < 0.6, np.zeros(conf.size, bool), np.ones(conf.size, bool)):
+            idx, counts, sum_conf, sum_corr = equal_width_totals(conf, correct, num_bins)
+            assert np.array_equal(idx, equal_width_bins(conf, num_bins))
+            assert np.array_equal(counts, np.bincount(idx, minlength=num_bins))
+            assert sum_conf.tobytes() == np.bincount(idx, weights=conf, minlength=num_bins).tobytes()
+            assert np.array_equal(sum_corr, np.bincount(idx, weights=correct, minlength=num_bins))
+            assert counts.shape == sum_conf.shape == sum_corr.shape == (num_bins,)
 
 
 def test_reliability_data_rejects_zero_bins():

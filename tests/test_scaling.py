@@ -12,6 +12,7 @@ from calibkit.scaling import (
     EtsModel,
     PtsTrainConfig,
     TsModel,
+    _class_sums,
     _ece_loss_and_dq,
     _ets_ece_objective,
     _ets_mse_objective,
@@ -32,6 +33,7 @@ from calibkit.scaling import (
     softplus_inverse,
 )
 from calibkit.synth import SynthConfig, generate
+from calibkit.tinynn import zeros_like_params
 from oracles import grad_check, pts_constant_model
 
 
@@ -307,15 +309,15 @@ def test_pts_gradient_matches_finite_differences():
     ds = generate(SynthConfig(num_samples=64, regime="heteroscedastic", seed=9))
     cfg = PtsTrainConfig(hidden=(4, 3), seed=9)
     model = fit_pts(ds, PtsTrainConfig(hidden=(4, 3), steps=30, seed=9))
-    z = ds.logits
-    zs = sorted_topk_matrix(z, cfg.topk)
-    pred = np.argmax(z, axis=1)
+    zs = sorted_topk_matrix(ds.logits, cfg.topk)
+    z = ds.logits.T.copy()  # class-major, as the training loop gathers it
+    pred = np.argmax(ds.logits, axis=1)
     corr = pred == ds.labels
 
     def loss_fn(params):
         q, aux = _pts_q_batch(params, zs, z, model.t_min)
         loss, dq, _ = _ece_loss_and_dq(q, corr, cfg.num_bins)
-        return loss, _pts_backward_q(params, aux, z, dq)
+        return loss, _pts_backward_q(params, aux, z, dq, out=zeros_like_params(params))
 
     report = grad_check(model.mlp, loss_fn, h=1e-5)
     assert report.max_rel_error <= 1e-4
@@ -395,6 +397,36 @@ def test_fit_pts_weights_match_golden_hash(case):
     ds = generate(SynthConfig(num_samples=5000, regime="heteroscedastic", seed=17))
     model = fit_pts(ds, PtsTrainConfig(steps=2000, seed=17, **overrides))
     assert weights_sha256(model.mlp) == expected
+
+
+# Recorded with the row-major softmax that the class-major training buffers
+# replaced: 4 classes pad the top-10 input with each row's smallest logit,
+# and 20 classes take the 8-accumulator loop of the class sum.
+GOLDEN_WEIGHTS_BY_CLASS_COUNT = {
+    4: "1dd6d28b8cd3a2de15792d14d0598c4b04eb55d522b436717b5cbe95af7ea4e7",
+    20: "45d829e51bdc3fa0a0603b84e55c3f6cd2557b3402f1dd6767cb6832ce6dcd39",
+}
+
+
+@pytest.mark.parametrize("num_classes", sorted(GOLDEN_WEIGHTS_BY_CLASS_COUNT))
+def test_fit_pts_weights_match_golden_hash_at_other_class_counts(num_classes):
+    ds = generate(SynthConfig(num_samples=5000, num_classes=num_classes, regime="heteroscedastic", seed=17))
+    model = fit_pts(ds, PtsTrainConfig(steps=2000, seed=17))
+    assert weights_sha256(model.mlp) == GOLDEN_WEIGHTS_BY_CLASS_COUNT[num_classes]
+
+
+@pytest.mark.parametrize("batch", [1, 9, 1000])
+def test_class_sums_equal_numpy_row_sums_bitwise(batch):
+    rng = np.random.default_rng(batch)
+    for c in [*range(1, 131), 200, 257]:
+        mixed = rng.normal(size=(batch, c)) * 10.0 ** rng.integers(-300, 300, size=(batch, c))
+        mixed[rng.random(mixed.shape) < 0.1] = 0.0
+        mixed[rng.random(mixed.shape) < 0.1] = -0.0
+        mixed[rng.random(mixed.shape) < 0.05] = rng.choice([5e-324, -5e-324, 2.5e-310, -1e-315])
+        zeros = np.where(rng.random((batch, c)) < 0.7, -0.0, 0.0)
+        probs = rng.random((batch, c))  # the softmax's own operands
+        for p in (mixed, zeros, probs):
+            assert _class_sums(np.ascontiguousarray(p.T)).tobytes() == p.sum(axis=-1).tobytes(), c
 
 
 def test_fit_pts_overflowing_logits_raise_numerical_error():
