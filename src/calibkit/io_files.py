@@ -48,13 +48,6 @@ def canonical_json(obj: Any) -> str:
         items = sorted(obj.items())
         return "{" + ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in items) + "}"
     if isinstance(obj, (list, tuple)):
-        if obj and set(map(type, obj)) == {float}:
-            # a list of Python floats, such as an isotonic map's knots: one
-            # bulk format prints the same text as _fmt of each value
-            x = np.array(obj)
-            if not np.isfinite(x).all():
-                raise ValueError("cannot serialize non-finite reals")
-            return "[" + ",".join(_fmt_column(x)) + "]"
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         return canonical_json(obj.tolist())

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -37,15 +36,6 @@ class EceReport:
     bins: tuple[BinStats, ...] = ()
 
 
-@lru_cache(maxsize=64)
-def _lower_edges(num_bins: int) -> np.ndarray:
-    """The float edges m/M, m = 0..M, with -inf and inf at the ends; read-only."""
-    lower = np.arange(num_bins + 1) / num_bins
-    lower[0], lower[-1] = -np.inf, np.inf
-    lower.flags.writeable = False
-    return lower
-
-
 def equal_width_bins(conf: np.ndarray, num_bins: int) -> np.ndarray:
     """0-based equal-width bin of each confidence.
 
@@ -57,11 +47,11 @@ def equal_width_bins(conf: np.ndarray, num_bins: int) -> np.ndarray:
     c * M >= m after rounding), so one comparison with the lower edge of
     bin floor(c * M) settles it.
     """
+    lower = np.arange(num_bins + 1) / num_bins
+    lower[0], lower[-1] = -np.inf, np.inf
     idx = (conf * num_bins).astype(np.intp)
-    # clip to [0, M] with two ufunc calls; np.clip's wrapper costs more than both
-    np.maximum(idx, 0, out=idx)
-    np.minimum(idx, num_bins, out=idx)
-    idx -= conf <= _lower_edges(num_bins)[idx]
+    np.clip(idx, 0, num_bins, out=idx)
+    idx -= conf <= lower[idx]
     return idx
 
 

@@ -392,12 +392,16 @@ def _pairwise_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _class_sums(p: np.ndarray) -> np.ndarray:
-    """Sum over classes of a class-major (C, B) array p, as C contiguous
-    vector adds: bit for bit P.sum(axis=-1) of the C-contiguous (B, C) P = p.T.
+    """Sum over classes of a (C, B) array p: bit for bit P.sum(axis=-1) of
+    the (B, C) P = p.T.
 
+    A C-contiguous p (class-major) is summed as C contiguous vector adds.
     numpy sums each row of C values pairwise from an initial +0.0, which
-    only turns a -0.0 sum into 0.0.
+    only turns a -0.0 sum into 0.0. Any other p is a view of row-major P,
+    which numpy sums itself.
     """
+    if not p.flags.c_contiguous:
+        return p.T.sum(axis=-1)
     out = _pairwise_sum(p, np.empty(p.shape[1]))
     out += 0.0
     return out
@@ -406,12 +410,14 @@ def _class_sums(p: np.ndarray) -> np.ndarray:
 def _pts_q_batch(mlp: MlpParams, zs: np.ndarray, z: np.ndarray, t_min: float):
     """Calibrated confidences Q for a batch plus everything backward needs.
 
-    zs is the (B, k) network input and z the batch's logits class-major,
-    (C, B). zs[:, 0] is each row's largest logit, so for T > 0 the row max
-    of z/T is zs[:, 0] / T exactly and softmax(z/T) needs no max reduction.
-    The largest entry is then exp(0) = 1, so Q is 1 / rowsum exactly. A
-    non-finite z/T (logits near the float range with T < 1) gives NaN, never
-    an error; callers check the loss.
+    zs is the (B, k) network input and z the batch's (C, B) logits, stored
+    class-major or as a transposed view of row-major logits; every
+    elementwise result keeps z's layout. zs[:, 0] is each row's largest
+    logit, so for T > 0 the row max of z/T is zs[:, 0] / T exactly and
+    softmax(z/T) needs no max reduction. The largest entry is then
+    exp(0) = 1, so Q is 1 / rowsum exactly. A non-finite z/T (logits near
+    the float range with T < 1) gives NaN, never an error; callers check
+    the loss.
     """
     raw, cache = forward_batch(mlp, zs)
     t = t_min + softplus(raw)
@@ -427,7 +433,7 @@ def _pts_q_batch(mlp: MlpParams, zs: np.ndarray, z: np.ndarray, t_min: float):
 
 def _pts_backward_q(mlp: MlpParams, aux, z: np.ndarray, dq: np.ndarray, out: MlpParams) -> MlpParams:
     """Backpropagate per-sample dL/dQ through softmax(z/T) and the network,
-    for the class-major z given to _pts_q_batch; the gradients go into out.
+    for the (C, B) z given to _pts_q_batch; the gradients go into out.
 
     scipy is imported here, so that only PTS training loads it; once it is
     loaded the import costs well under a microsecond a step."""
@@ -461,7 +467,7 @@ def pts_ece_loss(model: PtsModel, dataset: Dataset) -> float:
     """Full-dataset value of the squared-gap binned training objective."""
     pred = np.argmax(dataset.logits, axis=1)
     zs = sorted_topk_matrix(dataset.logits, model.input_width)
-    q, _ = _pts_q_batch(model.mlp, zs, np.ascontiguousarray(dataset.logits.T), model.t_min)
+    q, _ = _pts_q_batch(model.mlp, zs, dataset.logits.T, model.t_min)
     loss, _, _ = _ece_loss_and_dq(q, pred == dataset.labels, model.config.num_bins)
     return loss
 
@@ -482,6 +488,9 @@ def _recenter_biases(mlp: MlpParams, inputs: np.ndarray) -> None:
 
 
 RESUSCITATE_EVERY = 500
+# fit_pts copies each batch of logits class-major up to this many classes;
+# above it, on a (1 000, C) batch, the copy costs more than the sums save
+CLASS_MAJOR_MAX_CLASSES = 24
 
 
 def _resuscitate_dead_units(mlp: MlpParams, inputs: np.ndarray) -> None:
@@ -521,17 +530,20 @@ def fit_pts(dataset: Dataset, config: PtsTrainConfig | None = None) -> PtsModel:
     corr_all = np.argmax(z_all, axis=1) == dataset.labels
     n = len(dataset)
 
-    # Each batch is gathered into reused buffers (mode="clip" lets take
+    # Logit rows are gathered into reused buffers (mode="clip" lets take
     # write into them unbuffered; the indices are in range). Gathering from a
     # C-contiguous top-k copy is several times cheaper than from the
     # reversed-stride view that sorted_topk_matrix returns. zs_all itself
     # stays the operand of the full-set passes, whose matmul results depend
-    # on the operand's memory layout. The logits are gathered class-major,
-    # one contiguous (B,) run per class, so the softmax's sums over classes
-    # are C vector adds.
+    # on the operand's memory layout. With few classes the logit rows are
+    # then copied class-major, one contiguous (B,) run per class, so the
+    # softmax's sums over classes are C vector adds; with more, that copy
+    # costs more than it saves, and the step reads the rows through a
+    # transposed view.
     zs_rows = np.ascontiguousarray(zs_all)
-    z_classes = np.ascontiguousarray(z_all.T)
-    z = np.empty((z_all.shape[1], cfg.batch_size))
+    rows = np.empty((cfg.batch_size, z_all.shape[1]))
+    class_major = z_all.shape[1] <= CLASS_MAJOR_MAX_CLASSES
+    z = np.empty((z_all.shape[1], cfg.batch_size)) if class_major else rows.T
     zs = np.empty((cfg.batch_size, cfg.topk))
     grads = zeros_like_params(mlp)
     state = adam_init(mlp)
@@ -541,8 +553,10 @@ def fit_pts(dataset: Dataset, config: PtsTrainConfig | None = None) -> PtsModel:
         if step and step % RESUSCITATE_EVERY == 0 and step <= last_resuscitation:
             _resuscitate_dead_units(mlp, zs_all)
         idx = rng.integers(0, n, size=cfg.batch_size)
-        z_classes.take(idx, axis=1, out=z, mode="clip")
-        zs_rows.take(idx, axis=0, out=zs, mode="clip")
+        np.take(z_all, idx, axis=0, out=rows, mode="clip")
+        if class_major:
+            np.copyto(z, rows.T)
+        np.take(zs_rows, idx, axis=0, out=zs, mode="clip")
         corr = corr_all[idx]
         q, aux = _pts_q_batch(mlp, zs, z, T_MIN)
         if cfg.loss == "ece":

@@ -401,10 +401,13 @@ def test_fit_pts_weights_match_golden_hash(case):
 
 # Recorded with the row-major softmax that the class-major training buffers
 # replaced: 4 classes pad the top-10 input with each row's smallest logit,
-# and 20 classes take the 8-accumulator loop of the class sum.
+# 20 classes take the 8-accumulator loop of the class sum, and 40 classes
+# (above CLASS_MAJOR_MAX_CLASSES) read the gathered rows through a
+# transposed view.
 GOLDEN_WEIGHTS_BY_CLASS_COUNT = {
     4: "1dd6d28b8cd3a2de15792d14d0598c4b04eb55d522b436717b5cbe95af7ea4e7",
     20: "45d829e51bdc3fa0a0603b84e55c3f6cd2557b3402f1dd6767cb6832ce6dcd39",
+    40: "fb8215ee18f77dd19d3e219c3462b2b44f053518bc018abd424c4ac2bd8186d7",
 }
 
 
@@ -427,6 +430,7 @@ def test_class_sums_equal_numpy_row_sums_bitwise(batch):
         probs = rng.random((batch, c))  # the softmax's own operands
         for p in (mixed, zeros, probs):
             assert _class_sums(np.ascontiguousarray(p.T)).tobytes() == p.sum(axis=-1).tobytes(), c
+            assert _class_sums(p.T).tobytes() == p.sum(axis=-1).tobytes(), c  # a row-major view
 
 
 def test_fit_pts_overflowing_logits_raise_numerical_error():
