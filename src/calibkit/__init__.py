@@ -5,7 +5,6 @@ standard binning baselines, calibration metrics, and synthetic oracles."""
 from .core import Dataset, Predictions, softmax, sorted_topk_matrix
 from .metrics import (
     BinStats,
-    EceReport,
     accuracy,
     ece,
     ece_equal_mass,
@@ -18,7 +17,6 @@ from .scaling import (
     PtsModel,
     PtsTrainConfig,
     TsModel,
-    apply_ets,
     apply_pts,
     apply_temperature,
     fit_ets,

@@ -162,12 +162,9 @@ class HistBinModel:
     def __post_init__(self):
         _check_bin_outputs(self.edges, self.outputs)
 
-    def apply_confidence(self, conf: np.ndarray) -> np.ndarray:
-        return self.outputs[_bin_lookup(self.edges, np.asarray(conf, dtype=float))]
-
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         probs = softmax(logits)
-        q = self.apply_confidence(probs.max(axis=1))
+        q = self.outputs[_bin_lookup(self.edges, probs.max(axis=1))]
         return _replace_top_confidence(probs, np.argmax(logits, axis=1), q, preserve_argmax=False)
 
     def to_params(self) -> dict:
@@ -235,8 +232,8 @@ class IrmModel:
     so within-sample score rankings (and hence the argmax) are preserved."""
 
     shared_map: StepFunction
+    num_classes: int
     strictness: float = IRM_STRICTNESS
-    num_classes: int = 2
 
     kind = "irm"
 
@@ -244,12 +241,10 @@ class IrmModel:
         if not self.strictness > 0:
             raise ValueError(f"strictness must be positive, got {self.strictness}")
 
-    def apply_to_probs(self, probs: np.ndarray) -> np.ndarray:
+    def apply_probs(self, logits: np.ndarray) -> np.ndarray:
+        probs = softmax(logits)
         scores = self.shared_map(probs) + self.strictness * probs
         return scores / scores.sum(axis=1, keepdims=True)
-
-    def apply_probs(self, logits: np.ndarray) -> np.ndarray:
-        return self.apply_to_probs(softmax(logits))
 
     def to_params(self) -> dict:
         return {"map": self.shared_map.to_params(), "strictness": self.strictness}

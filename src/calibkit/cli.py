@@ -282,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         except (DataFormatError, OSError) as exc:  # a file that cannot be read or written
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        except (NumericalError, FloatingPointError) as exc:
+        except NumericalError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
 

@@ -71,9 +71,9 @@ def fit_method(method: str, dataset: Dataset, loss: str | None = None, **setting
 def evaluate_probs(probs: np.ndarray, dataset: Dataset, bins: Sequence[int]) -> dict:
     preds = Predictions.from_probs(probs, dataset.labels)
     return {
-        "ece_equal_width": {str(m): ece(preds, m).value for m in bins},
-        "ece_equal_mass": ece_equal_mass(preds, bins[0]).value,
-        "ece_kde": ece_kde(preds).value,
+        "ece_equal_width": {str(m): ece(preds, m) for m in bins},
+        "ece_equal_mass": ece_equal_mass(preds, bins[0]),
+        "ece_kde": ece_kde(preds),
         "accuracy": accuracy(preds),
         "nll": nll(dataset, probs),
         "reliability": [asdict(s) for s in reliability_data(preds, bins[0])],
@@ -122,7 +122,7 @@ def _oracle_pair(oracle: dict, seed: int) -> tuple[Dataset, Dataset]:
 
 def _test_ece(model, test: Dataset) -> float:
     preds = Predictions.from_probs(model.apply_probs(test.logits), test.labels)
-    return ece(preds, 10).value
+    return ece(preds, 10)
 
 
 def run_capacity(config: PtsTrainConfig, widths=(1, 2, 5, 10, 20), **_) -> list[dict]:
@@ -149,7 +149,7 @@ def run_bins_sweep(config: PtsTrainConfig, bins=range(5, 21, 2), **_) -> list[di
     rows = []
     for name, _, model, _ in fit_methods(("ts", "ets", "pts"), val, config):
         preds = Predictions.from_probs(model.apply_probs(test.logits), test.labels)  # one apply per model
-        rows += [{"method": name, "num_bins": int(m), "test_ece": ece(preds, m).value} for m in bins]
+        rows += [{"method": name, "num_bins": int(m), "test_ece": ece(preds, m)} for m in bins]
     return rows
 
 

@@ -99,8 +99,11 @@ def read_logits(path: str | Path) -> Dataset:
     are parsed in C when that gives exactly what the line parser would, and by
     the line parser, with its line-numbered messages, otherwise. A large file
     is parsed in C in blocks of rows, one per CPU (see _parse_rows_fast)."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     # On ASCII text without \x1f, np.loadtxt accepts a subset of what int()
     # and float() accept and gives the same values. It strips \x1f as
     # whitespace where float() rejects it, and misreads non-ASCII digits.
@@ -249,36 +252,38 @@ def model_to_dict(model) -> dict:
 
 
 def _finite_numbers(doc) -> bool:
-    """No null, and no number that is NaN or beyond the doubles, anywhere in
-    doc, as in every model file that save_model writes. A loop, not a
+    """No null or boolean, and no number that is NaN or beyond the doubles,
+    anywhere in doc, as in every model file that save_model writes. A loop, not a
     recursion, so that any nesting json.load accepts is checked."""
     stack = [doc]
     while stack:
         node = stack.pop()
         if isinstance(node, (dict, list, tuple)):
             stack.extend(node.values() if isinstance(node, dict) else node)
-        elif not (isinstance(node, str) or (node is not None and abs(node) <= sys.float_info.max)):
+        elif isinstance(node, bool) or not (isinstance(node, str) or (node is not None and abs(node) <= sys.float_info.max)):
             return False
     return True
 
 
-def model_from_dict(doc: dict, num_classes: int | None = None):
+def model_from_dict(doc: dict, num_classes: int):
     """Rebuild a model from its file document. A missing field, a wrong type
-    or a value the model rejects is a DataFormatError, and so is a document
-    for other than num_classes classes when num_classes is given."""
+    (version and num_classes are JSON integers: not 10.0, "10" or true), a value
+    the model rejects or a model for other than num_classes classes is a DataFormatError."""
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if not isinstance(kind, str) or kind not in CALIBRATORS:
         raise DataFormatError(f"unknown model kind {kind!r}")
-    if doc.get("version") != SCHEMA_VERSION:
-        raise DataFormatError(f"unsupported model version {doc.get('version')!r}")
+    version, model_classes = doc.get("version"), doc.get("num_classes")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise DataFormatError(f"unsupported model version {version!r}")
+    if type(model_classes) is not int:
+        raise DataFormatError(f"malformed {kind} model: num_classes must be an integer, got {model_classes!r}")
     if not _finite_numbers(doc.get("params", {})):
         raise DataFormatError(f"malformed {kind} model: a parameter is null or not a finite double")
     try:
-        model_classes = int(doc["num_classes"])
         model = CALIBRATORS[kind][0].from_params(doc["params"], model_classes)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed {kind} model: {exc}") from exc
-    if num_classes is not None and model_classes != num_classes:
+    if model_classes != num_classes:
         raise DataFormatError(f"{kind} model is for {model_classes} classes, the data has {num_classes}")
     return model
 
@@ -287,12 +292,12 @@ def save_model(model, path: str | Path) -> None:
     write_json(model_to_dict(model), path)
 
 
-def load_model(path: str | Path, num_classes: int | None = None):
-    """Read a model file; see model_from_dict for num_classes."""
+def load_model(path: str | Path, num_classes: int):
+    """Read a model file for data with num_classes classes; see model_from_dict."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, an overlong integer; too deep
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return model_from_dict(doc, num_classes)

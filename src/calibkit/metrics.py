@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,13 +26,6 @@ class BinStats:
     accuracy: float
     lower: float
     upper: float
-
-
-@dataclass(frozen=True)
-class EceReport:
-    value: float
-    bandwidth: Optional[float] = None
-    bins: tuple[BinStats, ...] = ()
 
 
 def equal_width_bins(conf: np.ndarray, num_bins: int) -> np.ndarray:
@@ -97,17 +89,16 @@ def reliability_data(preds: Predictions, num_bins: int) -> list[BinStats]:
     return stats
 
 
-def ece(preds: Predictions, num_bins: int) -> EceReport:
+def ece(preds: Predictions, num_bins: int) -> float:
     """Binned expected calibration error with equal-width bins: the
     count-weighted absolute gap |acc - conf| per bin."""
     if len(preds) == 0:
         raise ValueError("need at least one prediction")
-    stats = reliability_data(preds, num_bins)
     value = 0.0
-    for s in stats:
+    for s in reliability_data(preds, num_bins):
         if s.count:
             value += (s.count / len(preds)) * abs(s.accuracy - s.mean_confidence)
-    return EceReport(value=value, bins=tuple(stats))
+    return value
 
 
 def _equal_mass_groups(conf: np.ndarray, num_bins: int) -> list[np.ndarray]:
@@ -124,7 +115,7 @@ def _equal_mass_groups(conf: np.ndarray, num_bins: int) -> list[np.ndarray]:
     return merged
 
 
-def ece_equal_mass(preds: Predictions, num_bins: int) -> EceReport:
+def ece_equal_mass(preds: Predictions, num_bins: int) -> float:
     """ECE with bin edges at empirical confidence quantiles (equal-mass bins)."""
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
@@ -133,30 +124,13 @@ def ece_equal_mass(preds: Predictions, num_bins: int) -> EceReport:
         raise ValueError("need at least as many predictions as bins")
     conf = preds.confidence
     corr = preds.correct.astype(float)
-    groups = _equal_mass_groups(conf, num_bins)
-    stats = []
     value = 0.0
-    lower = 0.0
-    for m, g in enumerate(groups):
-        mc = float(conf[g].mean())
-        acc = float(corr[g].mean())
-        upper = float(conf[g].max()) if m < len(groups) - 1 else 1.0
-        stats.append(
-            BinStats(
-                bin=m + 1,
-                count=int(g.size),
-                mean_confidence=mc,
-                accuracy=acc,
-                lower=lower,
-                upper=upper,
-            )
-        )
-        value += (g.size / n) * abs(acc - mc)
-        lower = upper
-    return EceReport(value=value, bins=tuple(stats))
+    for g in _equal_mass_groups(conf, num_bins):
+        value += (g.size / n) * abs(float(corr[g].mean()) - float(conf[g].mean()))
+    return value
 
 
-def ece_kde(preds: Predictions) -> EceReport:
+def ece_kde(preds: Predictions) -> float:
     """KDE-based ECE: Nadaraya-Watson accuracy estimate against a Gaussian
     kernel density over confidences, integrated on a 1024-point grid."""
     n = len(preds)
@@ -167,8 +141,7 @@ def ece_kde(preds: Predictions) -> EceReport:
     sigma = float(conf.std())
     if sigma == 0.0:
         # degenerate spectrum: single confidence level
-        value = abs(float(corr.mean()) - float(conf[0]))
-        return EceReport(value=value, bandwidth=0.0)
+        return abs(float(corr.mean()) - float(conf[0]))
     lo, hi = float(conf.min()), float(conf.max())
     h = float(np.clip(1.06 * sigma * n ** (-0.2), *KDE_BANDWIDTH_RANGE))
     grid = np.linspace(lo, hi, KDE_GRID_POINTS)
@@ -193,7 +166,7 @@ def ece_kde(preds: Predictions) -> EceReport:
         wsum = w.sum(axis=1)
         acc_hat = (w @ corr[a:b]) / np.maximum(wsum, PROB_FLOOR)
         value += float(np.sum(np.abs(acc_hat - g) * (wsum / norm)) * dp)
-    return EceReport(value=value, bandwidth=h)
+    return value
 
 
 def accuracy(preds: Predictions) -> float:

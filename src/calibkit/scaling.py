@@ -143,7 +143,9 @@ class EtsModel:
             raise ValueError("weights must be three nonnegative numbers summing to 1")
 
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
-        return apply_ets(logits, self)
+        z = np.asarray(logits, dtype=float)
+        w1, w2, w3 = self.weights
+        return w1 * _tempered_softmax(z, self.temperature) + w2 * softmax(z) + w3 / z.shape[-1]
 
     def to_params(self) -> dict:
         return {"temperature": self.temperature, "weights": list(self.weights)}
@@ -151,13 +153,6 @@ class EtsModel:
     @classmethod
     def from_params(cls, p: dict, num_classes: int) -> "EtsModel":
         return cls(temperature=p["temperature"], weights=tuple(p["weights"]), num_classes=num_classes)
-
-
-def apply_ets(logits: np.ndarray, model: EtsModel) -> np.ndarray:
-    z = np.asarray(logits, dtype=float)
-    w1, w2, w3 = model.weights
-    c = z.shape[-1]
-    return w1 * _tempered_softmax(z, model.temperature) + w2 * softmax(z) + w3 / c
 
 
 def _simplex_grid(step: float) -> np.ndarray:

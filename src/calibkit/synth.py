@@ -12,6 +12,7 @@ from .core import Dataset, softmax
 from .scaling import T_MIN
 
 REGIMES = ("global_temp", "heteroscedastic", "overconfident_tail")
+CONCENTRATION = 3.0  # magnitude of the per-class mean logit
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,6 @@ class SynthConfig:
     scale: float = 2.5  # global_temp: emitted logits are scale * true logits
     base: float = 1.0  # heteroscedastic: T*(z) = base + slope * (z_(1) - z_(2))
     slope: float = 0.5  # heteroscedastic / overconfident_tail strength
-    concentration: float = 3.0  # magnitude of the per-class mean logit
     seed: int = 17
 
     def __post_init__(self):
@@ -63,7 +63,7 @@ def generate(config: SynthConfig) -> Dataset:
     n, c = config.num_samples, config.num_classes
     centers = rng.integers(0, c, size=n)
     true_logits = rng.standard_normal((n, c))
-    true_logits[np.arange(n), centers] += config.concentration
+    true_logits[np.arange(n), centers] += CONCENTRATION
     true_probs = softmax(true_logits)
     labels = _sample_categorical(true_probs, rng)
     scale = _per_sample_scale(true_logits, config)

@@ -8,6 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class MlpParams:
@@ -49,10 +53,7 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    step: int = field(default=0, init=False)
 
 
 def init_mlp(widths: Sequence[int], rng: np.random.Generator) -> MlpParams:
@@ -131,7 +132,7 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) 
     flat parameter vector. Mutates params and state in place and returns them
     (single-owner optimizer state)."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     g, m, v = grads.flat, state.m, state.v
@@ -139,5 +140,5 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) 
     m += (1 - b1) * g
     v *= b2
     v += (1 - b2) * g * g
-    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state

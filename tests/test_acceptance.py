@@ -49,7 +49,7 @@ def hetero_test():
 
 def measured_ece(model, test, num_bins=10):
     preds = Predictions.from_probs(model.apply_probs(test.logits), test.labels)
-    return ece(preds, num_bins).value
+    return ece(preds, num_bins)
 
 
 def test_criterion_01_oracle_temperature_recovery():
@@ -140,8 +140,8 @@ def test_criterion_05_hand_computed_fixtures():
         confidence=np.array([0.9, 0.8, 0.7, 0.3]),
         correct=np.array([True, True, False, False]),
     )
-    ew = ece(preds, 2).value
-    em = ece_equal_mass(preds, 2).value
+    ew = ece(preds, 2)
+    em = ece_equal_mass(preds, 2)
     ok = abs(ew - 0.175) <= 1e-12 and abs(em - 0.325) <= 1e-12
     report(f"CRITERION 5 {'PASS' if ok else 'FAIL'}: equal-width {ew:.12f} (want 0.175), equal-mass {em:.12f} (want 0.325)")
     assert ok
@@ -216,7 +216,7 @@ def test_criterion_08_bin_count_bias():
     for i, kw in enumerate(regimes):
         ds = generate(SynthConfig(num_samples=10_000, seed=60 + i, **kw))
         preds = Predictions.from_probs(ds.true_probs, ds.labels)
-        rows.append([ece(preds, m).value for m in ms])
+        rows.append([ece(preds, m) for m in ms])
     mean = np.mean(rows, axis=0)
     rho = float(spearmanr(ms, mean).statistic)
     ok = rho > 0

@@ -189,7 +189,7 @@ def test_hist_binning_hand_values():
     labels = np.array([1, 1, 0, 0])
     model = fit_hist_binning(Dataset(labels=labels, logits=logits), num_bins=2)
     assert np.allclose(model.outputs, [0.0, 1.0])
-    assert np.allclose(model.apply_confidence(np.array([0.5, 0.99])), [0.0, 1.0])
+    assert np.allclose(model.apply_probs(np.log(np.array([[0.5, 0.5], [0.99, 0.01]])))[:, 0], [0.0, 1.0])
 
 
 def test_hist_binning_output_changes_with_bin_accuracy():

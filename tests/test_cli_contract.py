@@ -56,6 +56,8 @@ def files(tmp_path_factory):
         write_logits(generate(SynthConfig(num_samples=n, num_classes=classes, seed=seed)), paths[name])
     paths["bad"] = root / "bad.csv"
     paths["bad"].write_text("label,z0,z1\n0,1.0\n")
+    paths["binary"] = root / "binary.bin"  # not UTF-8
+    paths["binary"].write_bytes(b"\xff\xfe\x00garbage")
     for kind in KINDS:
         paths[kind] = root / f"{kind}.json"
         fit = ["fit", "--method", kind, "--val", str(paths["val"]), "--out", str(paths[kind]), "--steps", "2"]
@@ -68,8 +70,8 @@ def files(tmp_path_factory):
 
 def flag_values(files):
     """Each flag of the parser with valid, boundary and invalid values."""
-    data = st.sampled_from(["val", "val", "test", "three", "bad", "missing", "dir"]).map(files.get)
-    models = st.sampled_from([*KINDS, "val", "missing", "dir"]).map(files.get)
+    data = st.sampled_from(["val", "val", "test", "three", "bad", "binary", "missing", "dir"]).map(files.get)
+    models = st.sampled_from([*KINDS, "val", "binary", "missing", "dir"]).map(files.get)
     return {
         "--method": st.sampled_from([*KINDS, "nope", ""]),
         "--methods": st.sampled_from([*KINDS, "ts,ets,irova_ts", "histbin,pbmc,pts", "irm,,ts", "ts,nope", ","]),
@@ -149,11 +151,15 @@ def csv_texts(draw):
     return "\n".join([header, *(",".join(row) for row in rows)]) + draw(st.sampled_from(["\n", "", "\n\n"]))
 
 
+# UTF-16 text starts with a byte-order mark that is not UTF-8
+ENCODINGS = st.sampled_from(["utf-8"] * 4 + ["utf-16"])
+
+
 @settings(CONTRACT, max_examples=80)
-@given(text=csv_texts(), command=st.sampled_from(["fit ts", "fit pbmc", "fit pts", "eval", "apply"]))
-def test_cli_contract_on_drawn_csv_text(files, text, command):
+@given(text=csv_texts(), command=st.sampled_from(["fit ts", "fit pbmc", "fit pts", "eval", "apply"]), encoding=ENCODINGS)
+def test_cli_contract_on_drawn_csv_text(files, text, command, encoding):
     path = f"{files['dir']}/drawn.csv"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding=encoding) as fh:
         fh.write(text)
     verb, _, method = command.partition(" ")
     if verb == "fit":
@@ -201,9 +207,9 @@ def model_texts(draw, files):
 
 
 @settings(CONTRACT, max_examples=80)
-@given(data=st.data(), command=st.sampled_from(["eval", "apply"]))
-def test_cli_contract_on_drawn_model_json(files, data, command):
+@given(data=st.data(), command=st.sampled_from(["eval", "apply"]), encoding=ENCODINGS)
+def test_cli_contract_on_drawn_model_json(files, data, command, encoding):
     path = f"{files['dir']}/drawn.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding=encoding) as fh:
         fh.write(data.draw(model_texts(files)))
     assert_contract([command, "--model", path, "--test", files["test"], "--out", files["out"]])

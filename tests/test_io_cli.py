@@ -165,7 +165,7 @@ def test_model_round_trips_all_kinds(tmp_path):
     for model in all_models(ds):
         path = tmp_path / "model.json"
         save_model(model, path)
-        loaded = load_model(path)
+        loaded = load_model(path, ds.num_classes)
         assert type(loaded) is type(model)
         assert np.allclose(loaded.apply_probs(probe), model.apply_probs(probe), atol=1e-15)
 
@@ -174,7 +174,7 @@ def test_model_dict_round_trip_is_stable():
     ds = small_dataset()
     for model in all_models(ds):
         doc = model_to_dict(model)
-        again = model_to_dict(model_from_dict(doc))
+        again = model_to_dict(model_from_dict(doc, ds.num_classes))
         assert canonical_json(doc) == canonical_json(again)
 
 
@@ -182,16 +182,36 @@ def test_load_model_rejects_malformed(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("not json")
     with pytest.raises(DataFormatError):
-        load_model(path)
+        load_model(path, 2)
     path.write_text('{"kind":"nope","version":1,"num_classes":2,"params":{}}')
     with pytest.raises(DataFormatError, match="kind"):
-        load_model(path)
+        load_model(path, 2)
     path.write_text('{"kind":"ts","version":99,"num_classes":2,"params":{"temperature":1.0}}')
     with pytest.raises(DataFormatError, match="version"):
-        load_model(path)
+        load_model(path, 2)
     path.write_text('{"kind":"ts","version":1,"num_classes":2,"params":{}}')
     with pytest.raises(DataFormatError, match="malformed"):
-        load_model(path)
+        load_model(path, 2)
+    ts_doc = '{"kind":"ts","version":%s,"num_classes":%s,"params":{"temperature":1.5}}'
+    path.write_text(ts_doc % (1, 10))
+    assert load_model(path, 10).temperature == 1.5
+    for bad in ('"10"', "10.7", "10.0", "true", "null"):
+        path.write_text(ts_doc % (1, bad))
+        with pytest.raises(DataFormatError, match="num_classes must be an integer"):
+            load_model(path, 10)
+    for bad in ("true", "1.0", '"1"'):
+        path.write_text(ts_doc % (bad, 10))
+        with pytest.raises(DataFormatError, match="version"):
+            load_model(path, 10)
+    path.write_text(ts_doc.replace("1.5", "true") % (1, 10))
+    with pytest.raises(DataFormatError, match="null or not a finite double"):
+        load_model(path, 10)
+    path.write_text(ts_doc % (1, "1" * 5000))  # beyond int()'s digit limit
+    with pytest.raises(DataFormatError, match="invalid JSON"):
+        load_model(path, 10)
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    with pytest.raises(DataFormatError, match="m.json: invalid JSON"):
+        load_model(path, 10)
 
 
 def write_sets(tmp_path, n=400):
@@ -205,7 +225,7 @@ def test_cli_fit_apply_eval_pipeline(tmp_path):
     val, test = write_sets(tmp_path)
     model = str(tmp_path / "ts.json")
     assert main(["fit", "--method", "ts", "--val", val, "--out", model]) == 0
-    assert load_model(model).temperature > 1.5
+    assert load_model(model, 10).temperature > 1.5
 
     conf_out = str(tmp_path / "conf.csv")
     assert main(["apply", "--model", model, "--test", test, "--out", conf_out]) == 0
@@ -227,7 +247,7 @@ def test_cli_fit_pts_with_flags(tmp_path):
         ["fit", "--method", "pts", "--val", val, "--out", model, "--steps", "50", "--seed", "3"]
     )
     assert code == 0
-    assert load_model(model).config.steps == 50
+    assert load_model(model, 10).config.steps == 50
 
 
 def test_cli_compare_report_structure(tmp_path):

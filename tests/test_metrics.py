@@ -3,6 +3,7 @@ import pytest
 
 from calibkit.core import Dataset, Predictions
 from calibkit.metrics import (
+    _equal_mass_groups,
     accuracy,
     ece,
     ece_equal_mass,
@@ -70,9 +71,9 @@ EDGE_CASES = [(25, 7), (25, 14), (50, 14), (50, 28)]
 def test_confidence_on_an_edge_lands_in_the_bin_it_closes(num_bins, m):
     c = m / num_bins
     preds = Predictions(np.zeros(1, dtype=int), np.array([c]), np.array([True]))
-    for stats in (reliability_data(preds, num_bins), ece(preds, num_bins).bins):
-        (hit,) = [s for s in stats if s.count]
-        assert hit.bin == m and hit.upper == c
+    (hit,) = [s for s in reliability_data(preds, num_bins) if s.count]
+    assert hit.bin == m and hit.upper == c
+    assert ece(preds, num_bins) == 1.0 - c
 
 
 def test_equal_width_bins_match_searchsorted_on_float_edges():
@@ -106,17 +107,17 @@ def test_reliability_data_rejects_zero_bins():
 
 
 def test_ece_hand_value():
-    assert ece(four_sample(), 2).value == pytest.approx(0.175, abs=1e-12)
+    assert ece(four_sample(), 2) == pytest.approx(0.175, abs=1e-12)
 
 
 def test_ece_perfectly_calibrated_degenerate():
     preds = Predictions(np.zeros(5, dtype=int), np.ones(5), np.ones(5, dtype=bool))
-    assert ece(preds, 10).value == 0.0
+    assert ece(preds, 10) == 0.0
 
 
 def test_ece_single_bin_collapse():
     p = four_sample()
-    assert ece(p, 1).value == pytest.approx(abs(p.correct.mean() - p.confidence.mean()), abs=1e-15)
+    assert ece(p, 1) == pytest.approx(abs(p.correct.mean() - p.confidence.mean()), abs=1e-15)
 
 
 def test_ece_matches_naive_oracle():
@@ -127,7 +128,7 @@ def test_ece_matches_naive_oracle():
         corr = rng.uniform(size=n) < conf
         preds = Predictions(np.zeros(n, dtype=int), conf, corr)
         for m in (1, 2, 7, 15):
-            assert ece(preds, m).value == pytest.approx(naive_ece(conf, corr.astype(float), m), abs=1e-12)
+            assert ece(preds, m) == pytest.approx(naive_ece(conf, corr.astype(float), m), abs=1e-12)
 
 
 def test_ece_permutation_invariant():
@@ -137,35 +138,32 @@ def test_ece_permutation_invariant():
     preds = Predictions(np.zeros(200, dtype=int), conf, corr)
     perm = rng.permutation(200)
     shuffled = Predictions(np.zeros(200, dtype=int), conf[perm], corr[perm])
-    assert ece(preds, 10).value == pytest.approx(ece(shuffled, 10).value, abs=1e-12)
-    assert ece_equal_mass(preds, 10).value == pytest.approx(ece_equal_mass(shuffled, 10).value, abs=1e-12)
-    assert ece_kde(preds).value == pytest.approx(ece_kde(shuffled).value, abs=1e-9)
+    assert ece(preds, 10) == pytest.approx(ece(shuffled, 10), abs=1e-12)
+    assert ece_equal_mass(preds, 10) == pytest.approx(ece_equal_mass(shuffled, 10), abs=1e-12)
+    assert ece_kde(preds) == pytest.approx(ece_kde(shuffled), abs=1e-9)
 
 
 def test_ece_equal_mass_hand_value():
-    report = ece_equal_mass(four_sample(), 2)
-    assert report.value == pytest.approx(0.325, abs=1e-12)
-    assert report.bins[0].count == 2 and report.bins[1].count == 2
+    assert ece_equal_mass(four_sample(), 2) == pytest.approx(0.325, abs=1e-12)
+    assert [g.size for g in _equal_mass_groups(four_sample().confidence, 2)] == [2, 2]
 
 
 def test_ece_equal_mass_single_bin():
     p = four_sample()
-    assert ece_equal_mass(p, 1).value == pytest.approx(abs(p.correct.mean() - p.confidence.mean()))
+    assert ece_equal_mass(p, 1) == pytest.approx(abs(p.correct.mean() - p.confidence.mean()))
 
 
 def test_ece_equal_mass_identical_confidences():
     preds = Predictions(np.zeros(6, dtype=int), np.full(6, 0.7), np.array([1, 0, 1, 1, 0, 0], dtype=bool))
-    report = ece_equal_mass(preds, 3)
-    assert report.value == pytest.approx(abs(0.5 - 0.7))
-    assert len(report.bins) == 1
+    assert ece_equal_mass(preds, 3) == pytest.approx(abs(0.5 - 0.7))
+    assert len(_equal_mass_groups(preds.confidence, 3)) == 1
 
 
 def test_ece_equal_mass_counts_balanced():
     rng = np.random.default_rng(5)
     conf = rng.uniform(size=103)
     preds = Predictions(np.zeros(103, dtype=int), conf, rng.uniform(size=103) < conf)
-    report = ece_equal_mass(preds, 10)
-    counts = [b.count for b in report.bins]
+    counts = [g.size for g in _equal_mass_groups(preds.confidence, 10)]
     assert max(counts) - min(counts) <= 1
 
 
@@ -176,8 +174,7 @@ def test_ece_equal_mass_rejects_few_samples():
 
 def test_ece_kde_constant_confidence_fallback():
     preds = Predictions(np.zeros(10, dtype=int), np.full(10, 0.8), np.array([1, 0] * 5, dtype=bool))
-    report = ece_kde(preds)
-    assert report.value == pytest.approx(0.3, abs=1e-6)
+    assert ece_kde(preds) == pytest.approx(0.3, abs=1e-6)
 
 
 def test_ece_kde_rejects_tiny_input():
@@ -188,7 +185,7 @@ def test_ece_kde_rejects_tiny_input():
 def test_ece_kde_near_zero_on_calibrated_oracle():
     ds = generate(SynthConfig(num_samples=100_000, regime="global_temp", scale=1.0, seed=11))
     preds = Predictions.from_probs(ds.true_probs, ds.labels)
-    assert ece_kde(preds).value < 0.01
+    assert ece_kde(preds) < 0.01
 
 
 def test_ece_kde_tracks_binned_ece():
@@ -197,7 +194,7 @@ def test_ece_kde_tracks_binned_ece():
 
     ds = generate(SynthConfig(num_samples=100_000, regime="global_temp", scale=1.4, seed=12))
     preds = Predictions.from_probs(softmax(ds.logits), ds.labels)
-    assert abs(ece_kde(preds).value - ece(preds, 15).value) < 0.005
+    assert abs(ece_kde(preds) - ece(preds, 15)) < 0.005
 
 
 def test_accuracy_and_nll():
@@ -235,7 +232,7 @@ def test_ece_value_in_unit_interval():
         n = int(rng.integers(1, 300))
         conf = rng.uniform(size=n)
         preds = Predictions(np.zeros(n, dtype=int), conf, rng.uniform(size=n) < 0.5)
-        assert 0.0 <= ece(preds, int(rng.integers(1, 25))).value <= 1.0
+        assert 0.0 <= ece(preds, int(rng.integers(1, 25))) <= 1.0
 
 
 def dense_ece_kde(preds):
@@ -295,10 +292,8 @@ KDE_CASES = {
 def test_ece_kde_matches_dense_oracle(name):
     preds = KDE_CASES[name]()
     expected, h = dense_ece_kde(preds)
-    report = ece_kde(preds)
-    assert report.bandwidth == h
     if name.startswith("h_clipped_at_"):
         assert h == float(name.removeprefix("h_clipped_at_"))
     if name == "empty_windows":
         assert np.diff(np.sort(preds.confidence)).max() > 20 * h
-    assert report.value == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert ece_kde(preds) == pytest.approx(expected, rel=1e-12, abs=0.0)

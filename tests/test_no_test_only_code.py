@@ -1,6 +1,7 @@
 """The package ships only what its commands and the benchmark use: every
 function, class and method defined in src/calibkit is named again in
-src/calibkit or bench/. Code that only the tests call goes in tests/oracles.py."""
+src/calibkit or bench/, and every defaulted dataclass field is set there. Code
+that only the tests call goes in tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -25,3 +26,51 @@ def test_every_definition_in_src_is_used_outside_the_tests():
         if isinstance(node, DEFINITIONS) and not node.name.endswith("__") and node.name not in used | ALLOWED
     ]
     assert unused == []
+
+
+
+def _dataclass_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """(name, has a default) of each __init__ field of a @dataclass class."""
+    if not any(ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list):
+        return []
+    return [
+        (stmt.target.id, stmt.value is not None)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+        and not any(k.arg == "init" and k.value.value is False for k in getattr(stmt.value, "keywords", []))
+    ]
+
+
+def _callee(call: ast.Call) -> str | None:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def test_every_defaulted_dataclass_field_is_set_outside_the_tests():
+    """A field default that no constructor or replace() call in src/ or bench/
+    overrides is a constant; make it one. A ** argument sets every field, and
+    init=False fields are exempt."""
+    paths = [*(ROOT / "src" / "calibkit").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    trees = [ast.parse(p.read_text()) for p in paths]
+    classes = [n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    fields = {node.name: f for node in classes if (f := _dataclass_fields(node))}
+    # (the class built, or "*" for replace(), call); cls(...) in a classmethod builds its class
+    calls = [(node.name, c) for node in classes for c in ast.walk(node) if isinstance(c, ast.Call) and _callee(c) == "cls"]
+    calls += [
+        ("*" if _callee(c) == "replace" else _callee(c), c)
+        for tree in trees
+        for c in ast.walk(tree)
+        if isinstance(c, ast.Call) and _callee(c) in {*fields, "replace"}
+    ]
+    set_fields = set()  # (class, field), "*" standing for every class or field
+    for cls, call in calls:
+        positional = [name for name, _ in fields.get(cls, [])[: len(call.args)]]
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            positional = ["*"]
+        set_fields |= {(cls, k.arg or "*") for k in call.keywords} | {(cls, name) for name in positional}
+    unset = [
+        f"{cls}.{name}"
+        for cls, members in fields.items()
+        for name, has_default in members
+        if has_default and not {(cls, name), (cls, "*"), ("*", name)} & set_fields
+    ]
+    assert unset == []

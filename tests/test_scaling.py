@@ -20,7 +20,6 @@ from calibkit.scaling import (
     _pts_backward_q,
     _pts_q_batch,
     _simplex_grid,
-    apply_ets,
     apply_pts,
     apply_temperature,
     fit_ets,
@@ -116,11 +115,11 @@ def test_ets_model_validation():
 def test_apply_ets_degenerate_weights():
     z = np.random.default_rng(1).normal(size=(20, 6))
     pure_ts = EtsModel(temperature=3.0, weights=(1.0, 0.0, 0.0), num_classes=6)
-    assert np.allclose(apply_ets(z, pure_ts), apply_temperature(z, 3.0))
+    assert np.allclose(pure_ts.apply_probs(z), apply_temperature(z, 3.0))
     pure_id = EtsModel(temperature=3.0, weights=(0.0, 1.0, 0.0), num_classes=6)
-    assert np.allclose(apply_ets(z, pure_id), softmax(z))
+    assert np.allclose(pure_id.apply_probs(z), softmax(z))
     uniform = EtsModel(temperature=3.0, weights=(0.0, 0.0, 1.0), num_classes=6)
-    assert np.allclose(apply_ets(z, uniform), 1.0 / 6.0)
+    assert np.allclose(uniform.apply_probs(z), 1.0 / 6.0)
 
 
 def test_fit_ets_improves_over_uncalibrated():
@@ -129,8 +128,8 @@ def test_fit_ets_improves_over_uncalibrated():
     for loss in ("mse", "ece"):
         model = fit_ets(ds, fit_ts(ds), loss=loss)
         assert sum(model.weights) == pytest.approx(1.0, abs=1e-9)
-        before = ece(Predictions.from_probs(softmax(test.logits), test.labels), 10).value
-        after = ece(Predictions.from_probs(model.apply_probs(test.logits), test.labels), 10).value
+        before = ece(Predictions.from_probs(softmax(test.logits), test.labels), 10)
+        after = ece(Predictions.from_probs(model.apply_probs(test.logits), test.labels), 10)
         assert after < before / 3
 
 
@@ -364,7 +363,7 @@ def test_fit_pts_mse_loss_trains():
     model = fit_pts(ds, PtsTrainConfig(steps=2000, seed=16, loss="mse"))
     preds = Predictions.from_probs(model.apply_probs(ds.logits), ds.labels)
     raw = Predictions.from_probs(softmax(ds.logits), ds.labels)
-    assert ece(preds, 10).value < ece(raw, 10).value
+    assert ece(preds, 10) < ece(raw, 10)
 
 
 def weights_sha256(mlp) -> str:

@@ -49,7 +49,7 @@ def test_labels_match_true_probs_frequencies():
 
 
 def test_labels_mostly_argmax_at_high_concentration():
-    ds = generate(SynthConfig(num_samples=20_000, concentration=3.0, seed=37))
+    ds = generate(SynthConfig(num_samples=20_000, seed=37))
     agree = (ds.labels == np.argmax(ds.true_probs, axis=1)).mean()
     assert 0.5 < agree < 0.95
 

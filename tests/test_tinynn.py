@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from calibkit.tinynn import (
+    ADAM_EPS,
     MlpParams,
     adam_init,
     adam_step,
@@ -113,9 +114,8 @@ def test_adam_first_step_hand_value():
     state = adam_init(params)
     lr = 0.1
     adam_step(params, grads, state, lr)
-    eps = state.eps
-    assert params.weights[0][0, 0] == pytest.approx(1.0 - lr * 2.0 / (2.0 + eps))
-    assert params.biases[0][0] == pytest.approx(0.5 + lr * 3.0 / (3.0 + eps))
+    assert params.weights[0][0, 0] == pytest.approx(1.0 - lr * 2.0 / (2.0 + ADAM_EPS))
+    assert params.biases[0][0] == pytest.approx(0.5 + lr * 3.0 / (3.0 + ADAM_EPS))
     assert state.step == 1
 
 
