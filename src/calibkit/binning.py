@@ -126,8 +126,12 @@ def _bin_lookup(edges: np.ndarray, conf: np.ndarray) -> np.ndarray:
 
 
 def _check_bin_outputs(edges: np.ndarray, outputs: np.ndarray) -> None:
+    if edges.ndim != 1 or outputs.ndim != 1:
+        raise ValueError(f"bin edges and outputs must be 1-D, got shapes {edges.shape} and {outputs.shape}")
     if len(outputs) != len(edges) + 1:
         raise ValueError(f"{len(outputs)} bin outputs for {len(edges)} internal edges")
+    if not np.all(np.diff(edges) > 0):
+        raise ValueError("bin edges must be strictly increasing")
 
 
 def _replace_top_confidence(probs: np.ndarray, pred: np.ndarray, new_top: np.ndarray, preserve_argmax: bool) -> np.ndarray:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 import threading
 import warnings
 from pathlib import Path
@@ -67,9 +66,12 @@ def canonical_json(obj: Any) -> str:
 
 
 def write_text_atomic(text: str, path: str | Path) -> None:
+    """Write text through a temporary file beside path, then rename it over
+    path. The file gets mode 0o666 less the umask, as open(path, "w") gives."""
     path = Path(path)
+    tmp = path.parent / f"{path.name}{os.urandom(6).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     except OSError as exc:  # name the path asked for, not the temporary file
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:

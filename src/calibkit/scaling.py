@@ -358,50 +358,6 @@ def apply_pts(logits: np.ndarray, model: PtsModel) -> np.ndarray:
     return _tempered_softmax(z, t[:, None])
 
 
-def _pairwise_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum of the rows of a (n, B) array into out, in numpy's pairwise order
-    for one contiguous run of n values: one by one below 8; 8 running sums,
-    added as a tree and followed by the rest, up to 128; halves (the first
-    rounded down to a multiple of 8) above that."""
-    n = a.shape[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        _pairwise_sum(a[:half], out)
-        out += _pairwise_sum(a[half:], np.empty_like(out))
-        return out
-    if n < 8:
-        np.copyto(out, a[0])
-        rest = range(1, n)
-    else:
-        full = n - n % 8
-        acc = a[:8]
-        for i in range(8, full, 8):
-            acc = acc + a[i : i + 8]
-        pairs = acc[0::2] + acc[1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
-        quads = pairs[0::2] + pairs[1::2]
-        np.add(quads[0], quads[1], out=out)
-        rest = range(full, n)
-    for i in rest:
-        out += a[i]
-    return out
-
-
-def _class_sums(p: np.ndarray) -> np.ndarray:
-    """Sum over classes of a (C, B) array p: bit for bit P.sum(axis=-1) of
-    the (B, C) P = p.T.
-
-    A C-contiguous p (class-major) is summed as C contiguous vector adds.
-    numpy sums each row of C values pairwise from an initial +0.0, which
-    only turns a -0.0 sum into 0.0. Any other p is a view of row-major P,
-    which numpy sums itself.
-    """
-    if not p.flags.c_contiguous:
-        return p.T.sum(axis=-1)
-    out = _pairwise_sum(p, np.empty(p.shape[1]))
-    out += 0.0
-    return out
-
-
 def _pts_q_batch(mlp: MlpParams, zs: np.ndarray, z: np.ndarray, t_min: float):
     """Calibrated confidences Q for a batch plus everything backward needs.
 
@@ -420,7 +376,7 @@ def _pts_q_batch(mlp: MlpParams, zs: np.ndarray, z: np.ndarray, t_min: float):
     probs = z / t
     probs -= top / t
     np.exp(probs, out=probs)
-    rowsum = _class_sums(probs)
+    rowsum = probs.sum(axis=0)
     probs /= rowsum
     q = 1.0 / rowsum
     return q, (raw, cache, t, probs, q, top)
@@ -436,7 +392,7 @@ def _pts_backward_q(mlp: MlpParams, aux, z: np.ndarray, dq: np.ndarray, out: Mlp
 
     raw, cache, t, probs, q, top = aux
     # dQ/dT = -(Q/T^2) * (z_pred - E_p[z]), and z_pred is the row's largest logit
-    expected_z = _class_sums(probs * z)
+    expected_z = (probs * z).sum(axis=0)
     dq_dt = -(q / (t * t)) * (top - expected_z)
     # dT/draw = sigmoid(raw)
     draw = dq * dq_dt * expit(raw)
@@ -520,22 +476,19 @@ def fit_pts(dataset: Dataset, config: PtsTrainConfig | None = None) -> PtsModel:
     mlp = init_mlp(widths, rng=rng)
 
     z_all = dataset.logits
-    zs_all = sorted_topk_matrix(z_all, cfg.topk)
+    # C-contiguous: gathering from it is several times cheaper than from the
+    # reversed-stride view that sorted_topk_matrix returns
+    zs_all = np.ascontiguousarray(sorted_topk_matrix(z_all, cfg.topk))
     _recenter_biases(mlp, zs_all)
     corr_all = np.argmax(z_all, axis=1) == dataset.labels
     n = len(dataset)
 
     # Logit rows are gathered into reused buffers (mode="clip" lets take
-    # write into them unbuffered; the indices are in range). Gathering from a
-    # C-contiguous top-k copy is several times cheaper than from the
-    # reversed-stride view that sorted_topk_matrix returns. zs_all itself
-    # stays the operand of the full-set passes, whose matmul results depend
-    # on the operand's memory layout. With few classes the logit rows are
-    # then copied class-major, one contiguous (B,) run per class, so the
-    # softmax's sums over classes are C vector adds; with more, that copy
-    # costs more than it saves, and the step reads the rows through a
-    # transposed view.
-    zs_rows = np.ascontiguousarray(zs_all)
+    # write into them unbuffered; the indices are in range). With few
+    # classes the rows are then copied class-major, one contiguous (B,) run
+    # per class, so the softmax's sums over classes are C vector adds; with
+    # more, that copy costs more than it saves, and the step reads the rows
+    # through a transposed view.
     rows = np.empty((cfg.batch_size, z_all.shape[1]))
     class_major = z_all.shape[1] <= CLASS_MAJOR_MAX_CLASSES
     z = np.empty((z_all.shape[1], cfg.batch_size)) if class_major else rows.T
@@ -551,7 +504,7 @@ def fit_pts(dataset: Dataset, config: PtsTrainConfig | None = None) -> PtsModel:
         np.take(z_all, idx, axis=0, out=rows, mode="clip")
         if class_major:
             np.copyto(z, rows.T)
-        np.take(zs_rows, idx, axis=0, out=zs, mode="clip")
+        np.take(zs_all, idx, axis=0, out=zs, mode="clip")
         corr = corr_all[idx]
         q, aux = _pts_q_batch(mlp, zs, z, T_MIN)
         if cfg.loss == "ece":

@@ -93,18 +93,6 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     return h[:, 0], cache
 
 
-def column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.sum(a, axis=0, out=out) bit for bit, for a C-contiguous (B, w) a.
-
-    With two or more columns numpy adds one row at a time into out, and so
-    does einsum, at a third of the cost. A single column is one contiguous
-    run, which np.sum adds pairwise and einsum does not, so it keeps np.sum.
-    """
-    if a.shape[1] == 1:
-        return np.sum(a, axis=0, out=out)
-    return np.einsum("ij->j", a, out=out)
-
-
 def backward_batch(params: MlpParams, cache: list, upstream: np.ndarray, out: MlpParams) -> MlpParams:
     """Exact reverse-mode parameter gradients, summed over the batch, written
     into out (a training loop reuses one buffer) and returned.
@@ -116,7 +104,7 @@ def backward_batch(params: MlpParams, cache: list, upstream: np.ndarray, out: Ml
     delta = upstream[:, None]
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(cache[i].T, delta, out=out.weights[i])
-        column_sums(delta, out.biases[i])
+        np.einsum("ij->j", delta, out=out.biases[i])
         if i > 0:
             delta = delta @ params.weights[i].T
             delta *= cache[i] > 0.0

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 import warnings
 from dataclasses import replace
 
@@ -212,6 +214,17 @@ def test_load_model_rejects_malformed(tmp_path):
     path.write_bytes(b"\xff\xfe\x00garbage")
     with pytest.raises(DataFormatError, match="m.json: invalid JSON"):
         load_model(path, 10)
+    for kind in ("histbin", "pbmc"):
+        for edges, outputs, message in [
+            ("[[0.5]]", "[[0.1],[0.9]]", "must be 1-D"),
+            ("[0.9,0.6]", "[0.1,0.5,0.9]", "strictly increasing"),
+            ("[0.6,0.6]", "[0.1,0.5,0.9]", "strictly increasing"),
+        ]:
+            temperature = '"temperature":1.0,' if kind == "pbmc" else ""
+            params = '{%s"edges":%s,"outputs":%s}' % (temperature, edges, outputs)
+            path.write_text('{"kind":"%s","version":1,"num_classes":10,"params":%s}' % (kind, params))
+            with pytest.raises(DataFormatError, match=f"malformed {kind} model: .*{message}"):
+                load_model(path, 10)
 
 
 def write_sets(tmp_path, n=400):
@@ -523,6 +536,15 @@ def _drop_a_bin_output(doc):
     doc["params"]["outputs"].pop()
 
 
+def _nest_bins(doc):
+    for name in ("edges", "outputs"):
+        doc["params"][name] = [[v] for v in doc["params"][name]]
+
+
+def _reverse_edges(doc):
+    doc["params"]["edges"].reverse()
+
+
 @pytest.mark.parametrize(
     "kind,edit,message",
     [
@@ -535,6 +557,10 @@ def _drop_a_bin_output(doc):
         ("irova_ts", _drop_a_map, "9 isotonic maps for 10 classes"),
         ("histbin", _drop_a_bin_output, "9 bin outputs for 9 internal edges"),
         ("pbmc", _drop_a_bin_output, "9 bin outputs for 9 internal edges"),
+        ("histbin", _nest_bins, "bin edges and outputs must be 1-D, got shapes (9, 1) and (10, 1)"),
+        ("pbmc", _nest_bins, "bin edges and outputs must be 1-D, got shapes (9, 1) and (10, 1)"),
+        ("histbin", _reverse_edges, "bin edges must be strictly increasing"),
+        ("pbmc", _reverse_edges, "bin edges must be strictly increasing"),
         ("pbmc", _set_param("temperature", -1.0), "temperature must be positive, got -1.0"),
         ("irm", _set_param("strictness", -1.0), "strictness must be positive, got -1.0"),
         ("irm", _set_param("strictness", "x"), "'>' not supported"),
@@ -553,6 +579,10 @@ def _drop_a_bin_output(doc):
         "irova_ts_map_count",
         "histbin_output_count",
         "pbmc_output_count",
+        "histbin_nested_bins",
+        "pbmc_nested_bins",
+        "histbin_descending_edges",
+        "pbmc_descending_edges",
         "pbmc_negative_temperature",
         "irm_negative_strictness",
         "irm_text_strictness",
@@ -619,8 +649,9 @@ def sha256_of(*paths):
 
 
 def test_compare_report_matches_golden_hash(tmp_path):
-    """Criterion 11's compare, hashed: recorded before ts, ets and irova_ts
-    started sharing one TS fit."""
+    """Criterion 11's compare, hashed. Recorded again when PTS training
+    switched to numpy's own sums, which moved the last digit of pts's
+    ece_kde; ts, ets and irova_ts sharing one TS fit kept it bitwise."""
     val, test = tmp_path / "val.csv", tmp_path / "test.csv"
     write_logits(generate(SynthConfig(num_samples=600, regime="heteroscedastic", seed=17)), val)
     write_logits(generate(SynthConfig(num_samples=600, regime="heteroscedastic", seed=18)), test)
@@ -628,17 +659,18 @@ def test_compare_report_matches_golden_hash(tmp_path):
     methods = "ts,ets,pts,histbin,irova,irm,irova_ts,pbmc"
     argv = ["compare", "--methods", methods, "--val", str(val), "--test", str(test), "--out", str(out)]
     assert main(argv + ["--seed", "17", "--steps", "200"]) == 0
-    assert sha256_of(out) == "6740204a4b8bdc38eb4f3b844d6b92571a2062a5f318077eaf4e2ae17add77eb"
+    assert sha256_of(out) == "f1ca8b29af88dd42c9e93da4251ded8a90f47cf61d9f76cb41d76c74bd70782f"
 
 
 # sha256 of each experiment's CSV then JSON table, at the flags' defaults,
 # 500-row sets and 50 PTS steps; recorded before the runners moved behind one
-# table and one fit loop.
+# table and one fit loop. capacity was recorded again when PTS training
+# switched to numpy's own sums, which moved its two pts rows in the last digit.
 GOLDEN_EXPERIMENT_TABLES = {
     "capacity": (
         "method,hidden_width,num_parameters,test_ece",
         6,
-        "7fbcf4a26504168729f6d69d9c0c3a88217b1555ffb4885bc80c7d99175209b3",
+        "5d4a7f9145dcb9e18603975d14615030a435224a0bfef587a6cc93942a04147d",
     ),
     "bins": ("method,num_bins,test_ece", 24, "cb6d1df545239c691f03dcdfe3017212d01369392dc750ce6c0961074367d50b"),
     "data_efficiency": (
@@ -824,3 +856,18 @@ def test_cli_out_in_a_missing_directory_names_the_given_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("data error: ")
     assert err.rstrip().endswith(f"'{out}'") and ".tmp" not in err
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
+    path = tmp_path / "z.csv"
+    old = os.umask(umask)
+    try:
+        write_logits(small_dataset(n=5), path)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        path.chmod(0o640)
+        write_logits(small_dataset(n=5), path)  # replacing a file creates it afresh too
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+    finally:
+        os.umask(old)
+    assert [p.name for p in tmp_path.iterdir()] == ["z.csv"]

@@ -12,7 +12,6 @@ from calibkit.scaling import (
     EtsModel,
     PtsTrainConfig,
     TsModel,
-    _class_sums,
     _ece_loss_and_dq,
     _ets_ece_objective,
     _ets_mse_objective,
@@ -322,13 +321,38 @@ def test_pts_gradient_matches_finite_differences():
     assert report.max_rel_error <= 1e-4
 
 
-def test_fit_pts_bitwise_reproducible():
-    ds = generate(SynthConfig(num_samples=500, regime="heteroscedastic", seed=11))
+@pytest.mark.parametrize("num_classes", [10, 40])  # class-major, then transposed-view batches
+def test_fit_pts_bitwise_reproducible(num_classes):
+    ds = generate(SynthConfig(num_samples=500, num_classes=num_classes, regime="heteroscedastic", seed=11))
     cfg = PtsTrainConfig(steps=200, seed=11)
     a = fit_pts(ds, cfg)
     b = fit_pts(ds, cfg)
     assert all(np.array_equal(x, y) for x, y in zip(a.mlp.weights, b.mlp.weights))
     assert all(np.array_equal(x, y) for x, y in zip(a.mlp.biases, b.mlp.biases))
+
+
+@pytest.mark.parametrize("num_classes", [10, 24, 25, 40])
+def test_pts_step_agrees_on_class_major_and_transposed_batches(num_classes):
+    """fit_pts feeds the step a class-major copy of the batch up to
+    CLASS_MAJOR_MAX_CLASSES classes and a transposed view of the gathered
+    rows above; the two differ only in the order numpy adds the classes.
+    Some gradient entries are near-cancelling sums over the batch, so the
+    gradient is compared as a vector, relative to its norm."""
+    ds = generate(SynthConfig(num_samples=1000, num_classes=num_classes, regime="heteroscedastic", seed=num_classes))
+    model = fit_pts(ds, PtsTrainConfig(steps=20, batch_size=100, seed=num_classes))
+    for batch in (1, 7, 1000):
+        rows = ds.logits[:batch]
+        zs = sorted_topk_matrix(rows, model.input_width)
+        dq = np.random.default_rng(batch).normal(size=batch)
+        results = []
+        for z in (np.ascontiguousarray(rows.T), rows.T):
+            q, aux = _pts_q_batch(model.mlp, zs, z, model.t_min)
+            grads = _pts_backward_q(model.mlp, aux, z, dq, out=zeros_like_params(model.mlp))
+            results.append((q, aux[3], grads.flat))  # aux is (raw, cache, t, probs, q, top)
+        (q_major, p_major, g_major), (q_view, p_view, g_view) = results
+        np.testing.assert_allclose(q_major, q_view, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(p_major, p_view, rtol=1e-12, atol=0)
+        assert np.linalg.norm(g_major - g_view) <= 1e-12 * np.linalg.norm(g_view)
 
 
 def test_fit_pts_seed_changes_result():
@@ -374,18 +398,19 @@ def weights_sha256(mlp) -> str:
     return h.hexdigest()
 
 
-# Recorded before the training step was optimised; any change to the step's
-# arithmetic changes them. The lr 1e-2 width-1 run revives a dead unit.
+# Recorded when the step's sums over classes and over the batch became
+# numpy's own reductions; any change to the step's arithmetic changes them.
+# The lr 1e-2 width-1 run revives a dead unit.
 GOLDEN_WEIGHTS = {
-    "ece": ({}, "5f90027ce1bbe90df2aaacae09c7370da2b9a96beb1cf2d05f9796a4e956d99d"),
-    "mse": ({"loss": "mse"}, "8b20442242083668986fb3f36d71785d9691d25002087c136937d80ee93fa7ac"),
+    "ece": ({}, "9f7cd3ebd8c0f7957cd67b82cc4b12bbb56c541aeecdbf3ef752602964674b4b"),
+    "mse": ({"loss": "mse"}, "0c0bfe75d30cd23fc333ae45c0638aa191a5cc8652baf7e322ee99c9f42fcf3c"),
     "width1_lr1e-3": (
         {"hidden": (1, 1), "learning_rate": 1e-3},
-        "cb4e1d9ce93fff292bc0541001dbfbf746bc531fb69fd38b22eabb23aa143bea",
+        "b7995531c1d71d0a3792e58ba739c87009ad6c55fdafe8b147ed9d52c99e76c2",
     ),
     "width1_lr1e-2": (
         {"hidden": (1, 1), "learning_rate": 1e-2},
-        "1a277f28bdea4eabdd3ea3b96c2f55dabc38817d2172db7c24ffb7668c6337b3",
+        "ca54cfafe5100faaaf8f5248f5026e7314a2d51abde50367a8b8226afce2a746",
     ),
 }
 
@@ -398,14 +423,15 @@ def test_fit_pts_weights_match_golden_hash(case):
     assert weights_sha256(model.mlp) == expected
 
 
-# Recorded with the row-major softmax that the class-major training buffers
-# replaced: 4 classes pad the top-10 input with each row's smallest logit,
-# 20 classes take the 8-accumulator loop of the class sum, and 40 classes
-# (above CLASS_MAJOR_MAX_CLASSES) read the gathered rows through a
-# transposed view.
+# 4 classes pad the top-10 input with each row's smallest logit, and 20
+# classes sum a class-major buffer in class order (recorded again when that
+# sum stopped copying numpy's pairwise order). 40 classes, above
+# CLASS_MAJOR_MAX_CLASSES, read the gathered rows through a transposed view,
+# which numpy sums pairwise. The 4- and 40-class hashes date from the
+# row-major step and did not move with either change.
 GOLDEN_WEIGHTS_BY_CLASS_COUNT = {
     4: "1dd6d28b8cd3a2de15792d14d0598c4b04eb55d522b436717b5cbe95af7ea4e7",
-    20: "45d829e51bdc3fa0a0603b84e55c3f6cd2557b3402f1dd6767cb6832ce6dcd39",
+    20: "514466f1cb73d9e56bfb50be580f2a6f854ffc3754dc3683d0446dfaeb08a7a0",
     40: "fb8215ee18f77dd19d3e219c3462b2b44f053518bc018abd424c4ac2bd8186d7",
 }
 
@@ -415,21 +441,6 @@ def test_fit_pts_weights_match_golden_hash_at_other_class_counts(num_classes):
     ds = generate(SynthConfig(num_samples=5000, num_classes=num_classes, regime="heteroscedastic", seed=17))
     model = fit_pts(ds, PtsTrainConfig(steps=2000, seed=17))
     assert weights_sha256(model.mlp) == GOLDEN_WEIGHTS_BY_CLASS_COUNT[num_classes]
-
-
-@pytest.mark.parametrize("batch", [1, 9, 1000])
-def test_class_sums_equal_numpy_row_sums_bitwise(batch):
-    rng = np.random.default_rng(batch)
-    for c in [*range(1, 131), 200, 257]:
-        mixed = rng.normal(size=(batch, c)) * 10.0 ** rng.integers(-300, 300, size=(batch, c))
-        mixed[rng.random(mixed.shape) < 0.1] = 0.0
-        mixed[rng.random(mixed.shape) < 0.1] = -0.0
-        mixed[rng.random(mixed.shape) < 0.05] = rng.choice([5e-324, -5e-324, 2.5e-310, -1e-315])
-        zeros = np.where(rng.random((batch, c)) < 0.7, -0.0, 0.0)
-        probs = rng.random((batch, c))  # the softmax's own operands
-        for p in (mixed, zeros, probs):
-            assert _class_sums(np.ascontiguousarray(p.T)).tobytes() == p.sum(axis=-1).tobytes(), c
-            assert _class_sums(p.T).tobytes() == p.sum(axis=-1).tobytes(), c  # a row-major view
 
 
 def test_fit_pts_overflowing_logits_raise_numerical_error():

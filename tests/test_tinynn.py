@@ -7,7 +7,6 @@ from calibkit.tinynn import (
     adam_init,
     adam_step,
     backward_batch,
-    column_sums,
     forward_batch,
     init_mlp,
     zeros_like_params,
@@ -199,18 +198,3 @@ def test_flat_adam_matches_per_array_reference_bitwise():
         assert all(np.array_equal(a, b) for a, b in zip(params.weights, ref_w))
         assert all(np.array_equal(a, b) for a, b in zip(params.biases, ref_b))
     assert state.step == ref_state["step"] == 200
-
-
-@pytest.mark.parametrize("batch", [1, 7, 8, 9, 999, 1000, 4096])
-def test_column_sums_equal_numpy_sum_bitwise(batch):
-    rng = np.random.default_rng(batch)
-    for width in range(1, 21):
-        a = rng.normal(size=(batch, width)) * 10.0 ** rng.integers(-8, 9, size=(batch, width))
-        a[rng.random(a.shape) < 0.3] = 0.0  # as a ReLU mask leaves the hidden deltas
-        a[rng.random(a.shape) < 0.1] = -0.0
-        a[rng.random(a.shape) < 0.05] = 5e-324
-        out = np.empty(width)
-        assert column_sums(a, out) is out
-        assert out.tobytes() == np.sum(a, axis=0).tobytes(), width
-        zeros = np.where(rng.random(a.shape) < 0.5, -0.0, 0.0)
-        assert column_sums(zeros, out).tobytes() == np.sum(zeros, axis=0).tobytes(), width
