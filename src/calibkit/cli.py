@@ -279,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        except MemoryError as exc:  # a size flag, such as --batch-size, too large to allocate
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         except (DataFormatError, OSError) as exc:  # a file that cannot be read or written
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA

@@ -384,18 +384,13 @@ def _pts_q_batch(mlp: MlpParams, zs: np.ndarray, z: np.ndarray, t_min: float):
 
 def _pts_backward_q(mlp: MlpParams, aux, z: np.ndarray, dq: np.ndarray, out: MlpParams) -> MlpParams:
     """Backpropagate per-sample dL/dQ through softmax(z/T) and the network,
-    for the (C, B) z given to _pts_q_batch; the gradients go into out.
-
-    scipy is imported here, so that only PTS training loads it; once it is
-    loaded the import costs well under a microsecond a step."""
-    from scipy.special import expit
-
+    for the (C, B) z given to _pts_q_batch; the gradients go into out."""
     raw, cache, t, probs, q, top = aux
     # dQ/dT = -(Q/T^2) * (z_pred - E_p[z]), and z_pred is the row's largest logit
     expected_z = (probs * z).sum(axis=0)
     dq_dt = -(q / (t * t)) * (top - expected_z)
     # dT/draw = sigmoid(raw)
-    draw = dq * dq_dt * expit(raw)
+    draw = dq * dq_dt / (1.0 + np.exp(-raw))
     return backward_batch(mlp, cache, draw, out=out)
 
 
@@ -461,7 +456,8 @@ def _resuscitate_dead_units(mlp: MlpParams, inputs: np.ndarray) -> None:
 
 # Overflow on logits near the float range either ends as a NaN loss or
 # non-finite weights, both raised as NumericalError, or is harmless (a huge T
-# makes T*T inf and that sample's gradient 0); numpy's warnings would add
+# makes T*T inf and that sample's gradient 0; a raw output below about -709
+# makes exp(-raw) inf and the sigmoid its limit 0); numpy's warnings would add
 # nothing but stderr noise.
 @np.errstate(over="ignore", invalid="ignore")
 def fit_pts(dataset: Dataset, config: PtsTrainConfig | None = None) -> PtsModel:

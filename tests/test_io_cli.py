@@ -457,6 +457,26 @@ def one_error_line(capsys, prefix):
     return err.count("\n") == 1 and err.startswith(prefix)
 
 
+# 10**12 asks for terabytes, which the kernel refuses at once; a size that
+# overcommit could grant would make the machine page instead
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "pts", "--batch-size", str(10**12)],
+        ["--method", "pts", "--topk", str(10**12)],
+        ["--method", "pts", "--bins", str(10**12)],
+        ["--method", "ets", "--losses", "ece", "--bins", str(10**12)],
+    ],
+    ids=" ".join,
+)
+def test_cli_flag_too_large_to_allocate_exit_1(tmp_path, capsys, flags):
+    val, _ = write_sets(tmp_path, n=50)
+    out = tmp_path / "m.json"
+    assert main(["fit", "--steps", "5", "--val", val, "--out", str(out), *flags]) == 1
+    assert one_error_line(capsys, "error: out of memory: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["apply", "eval"])
 @pytest.mark.parametrize("kind", ["ts", "histbin", "irova", "pts"])
 def test_cli_apply_eval_reject_a_model_for_another_class_count(tmp_path, capsys, kind, command):

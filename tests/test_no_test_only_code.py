@@ -1,9 +1,11 @@
 """The package ships only what its commands and the benchmark use: every
 function, class and method defined in src/calibkit is named again in
 src/calibkit or bench/, and every defaulted dataclass field is set there. Code
-that only the tests call goes in tests/oracles.py."""
+that only the tests call goes in tests/oracles.py, and src/calibkit imports
+nothing outside the standard library but numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,6 +29,22 @@ def test_every_definition_in_src_is_used_outside_the_tests():
     ]
     assert unused == []
 
+
+def test_src_imports_only_the_standard_library_and_numpy():
+    """numpy is the one runtime dependency (scipy is for the tests only).
+    Every import counts, function-local ones too; relative ones are the package's own."""
+    allowed = {*sys.stdlib_module_names, "numpy"}
+    foreign = []
+    for path in sorted((ROOT / "src" / "calibkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
+    assert foreign == []
 
 
 def _dataclass_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:

@@ -9,6 +9,7 @@ from calibkit.errors import NumericalError
 from calibkit.metrics import ece
 from calibkit.scaling import (
     LOG_T_RANGE,
+    T_MIN,
     EtsModel,
     PtsTrainConfig,
     TsModel,
@@ -31,7 +32,7 @@ from calibkit.scaling import (
     softplus_inverse,
 )
 from calibkit.synth import SynthConfig, generate
-from calibkit.tinynn import zeros_like_params
+from calibkit.tinynn import init_mlp, zeros_like_params
 from oracles import grad_check, pts_constant_model
 
 
@@ -321,6 +322,28 @@ def test_pts_gradient_matches_finite_differences():
     assert report.max_rel_error <= 1e-4
 
 
+@pytest.mark.parametrize("raw", [-800.0, 800.0])
+def test_pts_backward_is_finite_in_the_sigmoid_tails(raw):
+    """dT/draw = 1 / (1 + exp(-raw)): at raw = -800 exp overflows to inf and the
+    sigmoid, so every gradient, is 0; at raw = +800 the sigmoid is 1."""
+    ds = generate(SynthConfig(num_samples=100, regime="heteroscedastic", seed=19))
+    mlp = init_mlp([10, 5, 5, 1], np.random.default_rng(19))
+    mlp.weights[-1][...] = 0.0
+    mlp.biases[-1][0] = raw  # every sample's network output is raw exactly
+    zs = sorted_topk_matrix(ds.logits, 10)
+    z = ds.logits.T.copy()
+    dq = np.random.default_rng(19).normal(size=len(ds))
+    with np.errstate(over="ignore"):  # as in fit_pts
+        q, aux = _pts_q_batch(mlp, zs, z, T_MIN)
+        grads = _pts_backward_q(mlp, aux, z, dq, out=zeros_like_params(mlp))
+    assert np.array_equal(aux[0], np.full(len(ds), raw))
+    assert np.isfinite(grads.flat).all()
+    if raw < 0:
+        assert not grads.flat.any()
+    else:
+        assert grads.biases[-1][0] != 0.0
+
+
 @pytest.mark.parametrize("num_classes", [10, 40])  # class-major, then transposed-view batches
 def test_fit_pts_bitwise_reproducible(num_classes):
     ds = generate(SynthConfig(num_samples=500, num_classes=num_classes, regime="heteroscedastic", seed=11))
@@ -398,19 +421,20 @@ def weights_sha256(mlp) -> str:
     return h.hexdigest()
 
 
-# Recorded when the step's sums over classes and over the batch became
-# numpy's own reductions; any change to the step's arithmetic changes them.
-# The lr 1e-2 width-1 run revives a dead unit.
+# Recorded when the backward pass's sigmoid became 1 / (1 + np.exp(-raw))
+# (scipy's expit, which it replaced, differs in the last bit on about 2% of
+# inputs); any change to the step's arithmetic changes them. The lr 1e-2
+# width-1 run revives a dead unit.
 GOLDEN_WEIGHTS = {
-    "ece": ({}, "9f7cd3ebd8c0f7957cd67b82cc4b12bbb56c541aeecdbf3ef752602964674b4b"),
-    "mse": ({"loss": "mse"}, "0c0bfe75d30cd23fc333ae45c0638aa191a5cc8652baf7e322ee99c9f42fcf3c"),
+    "ece": ({}, "ec66d7bc5392b48c682a0248553dfd718915a6e371c355cfdc6112a9d2026c9e"),
+    "mse": ({"loss": "mse"}, "8912c8a8ec5bf9ba0e4e185342ac0cd40ed6eafd5cc32b1c087b1b6a772467fb"),
     "width1_lr1e-3": (
         {"hidden": (1, 1), "learning_rate": 1e-3},
-        "b7995531c1d71d0a3792e58ba739c87009ad6c55fdafe8b147ed9d52c99e76c2",
+        "2fb366c840819b457af99a5a75aad0f2988d84d78556b3f1091167e7d2e2269f",
     ),
     "width1_lr1e-2": (
         {"hidden": (1, 1), "learning_rate": 1e-2},
-        "ca54cfafe5100faaaf8f5248f5026e7314a2d51abde50367a8b8226afce2a746",
+        "33b1dffadd4e17718609985104065738daa0bb73e27a7e5d03ea4b78157da3cd",
     ),
 }
 
@@ -424,15 +448,14 @@ def test_fit_pts_weights_match_golden_hash(case):
 
 
 # 4 classes pad the top-10 input with each row's smallest logit, and 20
-# classes sum a class-major buffer in class order (recorded again when that
-# sum stopped copying numpy's pairwise order). 40 classes, above
+# classes sum a class-major buffer in class order. 40 classes, above
 # CLASS_MAJOR_MAX_CLASSES, read the gathered rows through a transposed view,
-# which numpy sums pairwise. The 4- and 40-class hashes date from the
-# row-major step and did not move with either change.
+# which numpy sums pairwise. All three were recorded again with the numpy
+# sigmoid, as were the hashes above.
 GOLDEN_WEIGHTS_BY_CLASS_COUNT = {
-    4: "1dd6d28b8cd3a2de15792d14d0598c4b04eb55d522b436717b5cbe95af7ea4e7",
-    20: "514466f1cb73d9e56bfb50be580f2a6f854ffc3754dc3683d0446dfaeb08a7a0",
-    40: "fb8215ee18f77dd19d3e219c3462b2b44f053518bc018abd424c4ac2bd8186d7",
+    4: "964a1ac4cb59b20f38bd198c84f91573f3c471ad8af8e2e1d28e62734572e9a0",
+    20: "5d4897062420f723d78ec39035489937c495a8ee7abc38f2941b8f99aad514d3",
+    40: "43e61ed87d2a3f6fbf399782974d44ccda536b2c13c29af84a0d578cdc73c164",
 }
 
 
