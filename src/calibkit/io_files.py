@@ -7,13 +7,13 @@ from __future__ import annotations
 import json
 import os
 import sys
-import threading
 import warnings
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from . import workers
 from .core import Dataset
 from .errors import DataFormatError
 from .experiments import CALIBRATORS
@@ -132,31 +132,23 @@ def read_logits(path: str | Path) -> Dataset:
 VALUES_PER_WORKER = 200_000
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _parse_rows_fast(lines: list[str], c: int) -> Dataset | None:
     """The data rows parsed by np.loadtxt, or None when the line parser must
     run: a row that does not parse, no rows, a label out of range or a
     non-finite logit (Dataset rejects the last three). A file of at least
-    2 * VALUES_PER_WORKER values is parsed in blocks by _load_blocks, when
-    this process has more than one CPU and no other thread; every row goes
-    through the same np.loadtxt call either way, so the values are the same."""
+    2 * VALUES_PER_WORKER values is parsed in contiguous blocks of rows by
+    workers.forked_map; every row goes through the same np.loadtxt call
+    either way, so the values are the same."""
     dtype = np.dtype([("label", np.int64), ("z", float, (c,))])
     n = len(lines) - 1
-    blocks = min(_cpu_count(), n * (c + 1) // VALUES_PER_WORKER, n)
+    blocks = workers.worker_count(n, n * (c + 1), VALUES_PER_WORKER)
+    bounds = [1 + n * i // blocks for i in range(blocks + 1)]
     try:
-        parts = None
-        # forking while another thread runs can deadlock the child
-        if blocks > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-            parts = _load_blocks(lines, dtype, blocks)
-        if parts is None:
-            parts = [_load_rows(lines[1:], dtype)]
+        parts = workers.forked_map(
+            lambda rows: _load_rows(lines[rows.start : rows.stop], dtype),
+            [range(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])],
+            dtype,
+        )
         # contiguous columns straight from the parts: no whole-file record array
         labels = np.concatenate([p["label"] for p in parts])
         logits = np.concatenate([p["z"] for p in parts])
@@ -170,53 +162,6 @@ def _load_rows(lines: list[str], dtype: np.dtype) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-
-
-def _load_blocks(lines: list[str], dtype: np.dtype, blocks: int) -> list[np.ndarray] | None:
-    """_load_rows of the data rows in `blocks` contiguous blocks, in order.
-    This process parses the first; each other block is parsed by a forked
-    child, which writes its row count and records into an anonymous shared
-    mmap made before the fork. Raises ValueError if a block does not parse or
-    a child fails or dies; returns None if mmap or fork raises OSError. Every
-    child has been reaped when this returns or raises."""
-    # only a read in blocks needs these; imported with the module, they would
-    # add about 0.9 ms to every start-up of the CLI
-    import mmap
-    import signal
-
-    n = len(lines) - 1
-    bounds = [1 + n * i // blocks for i in range(blocks + 1)]
-    workers = []  # (pid, shared buffer) per child, in block order
-    running = set()  # the children not yet reaped: only these may be killed
-    try:
-        try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                buf = mmap.mmap(-1, 8 + (stop - start) * dtype.itemsize)
-                pid = os.fork()
-                if pid == 0:  # the child: it never returns into the caller
-                    try:
-                        rows = _load_rows(lines[start:stop], dtype)
-                        np.frombuffer(buf, dtype, rows.size, offset=8)[:] = rows
-                        buf[:8] = rows.size.to_bytes(8, "little")
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                running.add(pid)
-                workers.append((pid, buf))
-        except OSError:
-            return None
-        parts = [_load_rows(lines[bounds[0] : bounds[1]], dtype)]
-        for pid, buf in workers:
-            status = os.waitpid(pid, 0)[1]
-            running.discard(pid)
-            if status != 0:
-                raise ValueError("a block of rows did not parse")
-            parts.append(np.frombuffer(buf, dtype, int.from_bytes(buf[:8], "little"), offset=8))
-        return parts
-    finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _parse_rows(path: str | Path, lines: list[str], c: int) -> Dataset:

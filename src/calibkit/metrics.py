@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .core import Dataset, Predictions
 
 PROB_FLOOR = 1e-12
@@ -14,6 +15,14 @@ KDE_BANDWIDTH_RANGE = (1e-3, 0.1)
 KDE_WINDOW = 8.5  # kernel reach in bandwidths: exp(-0.5 * 8.5**2) < 1e-15
 KDE_BLOCK = 4  # grid points per windowed kernel block; divides KDE_GRID_POINTS
 KDE_MIN_SAMPLES = 10
+# The fewest kernel terms (grid points times windowed confidences) worth a
+# worker of ece_kde. Timed on a 2-vCPU Xeon VM, two workers against one over
+# 12 alternating pairs on the softmax confidences of heteroscedastic sets:
+# they lost 11 or 12 of 12 at 5k to 15k rows (3.3 M to 8.4 M terms) and won 12
+# of 12 from 20k rows (10 M terms; at 100k, 40 M terms: 144 -> 96 ms) while
+# the second vCPU was idle, but lost up to 40k rows while it was busy. So two
+# workers from 20 M terms.
+KDE_TERMS_PER_WORKER = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -157,15 +166,32 @@ def ece_kde(preds: Predictions) -> float:
     stops = np.searchsorted(conf, blocks[:, -1] + KDE_WINDOW * h, side="right")
     scale = -0.5 / (h * h)
     norm = n * h * np.sqrt(2 * np.pi)
+
+    def terms(share: np.ndarray) -> np.ndarray:
+        out = np.empty(len(share))
+        for i, k in enumerate(share):
+            g, a, b = blocks[k], starts[k], stops[k]
+            w = np.subtract.outer(g, conf[a:b])
+            np.square(w, out=w)
+            w *= scale
+            np.exp(w, out=w)
+            wsum = w.sum(axis=1)
+            acc_hat = (w @ corr[a:b]) / np.maximum(wsum, PROB_FLOOR)
+            out[i] = float(np.sum(np.abs(acc_hat - g) * (wsum / norm)) * dp)
+        return out
+
+    # The blocks are dealt round-robin to workers (see workers.worker_count),
+    # and their terms are added here one by one in block order, as one
+    # process adds them, so the value is the same bits either way (not with
+    # sum(), which compensates its float additions from Python 3.12 on).
+    count = workers.worker_count(len(blocks), KDE_BLOCK * int((stops - starts).sum()), KDE_TERMS_PER_WORKER)
+    shares = [np.arange(k, len(blocks), count) for k in range(count)]
+    block_terms = np.empty(len(blocks))
+    for share, found in zip(shares, workers.forked_map(terms, shares, float)):
+        block_terms[share] = found
     value = 0.0
-    for g, a, b in zip(blocks, starts, stops):
-        w = np.subtract.outer(g, conf[a:b])
-        np.square(w, out=w)
-        w *= scale
-        np.exp(w, out=w)
-        wsum = w.sum(axis=1)
-        acc_hat = (w @ corr[a:b]) / np.maximum(wsum, PROB_FLOOR)
-        value += float(np.sum(np.abs(acc_hat - g) * (wsum / norm)) * dp)
+    for term in block_terms.tolist():
+        value += term
     return value
 
 

@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import workers
 from .core import Dataset, softmax, sorted_topk_matrix
 from .errors import NumericalError
 from .metrics import equal_width_totals
@@ -203,20 +204,42 @@ def _ets_ece_objective(q1: np.ndarray, q2: np.ndarray, correct: np.ndarray, num_
     return value
 
 
-def _grid_argmin(objective, grid: np.ndarray, floor=None) -> np.ndarray:
+# The fewest validation rows worth a worker of the ETS-ECE bound search. Timed
+# on a 2-vCPU Xeon VM, fit_ets(loss="ece") in two workers against one, over
+# 12 alternating pairs on heteroscedastic sets: two won 0 of 12 at 2 000 rows,
+# 6 at 3 000 and 12 at 4 000 (133 -> 87 ms). So two workers from 4 000 rows.
+ETS_ROWS_PER_WORKER = 2_000
+
+
+def _grid_argmin(objective, grid: np.ndarray, floor, rows: int) -> np.ndarray:
     """First grid point of least objective value. Given floor(grid) <= objective(grid),
     points are evaluated 32 at a time in ascending floor order until the next floor
     exceeds the best value found: every point skipped is worse than the minimum, so
-    the result is that of the exhaustive search."""
+    the result is that of the exhaustive search.
+
+    The 32-point chunks are dealt round-robin to workers, one per ETS_ROWS_PER_WORKER
+    rows of the objective's data, each pruning against its own best value. That is
+    at least the global minimum, so a worker too evaluates every point that attains
+    it, and the first argmin over all workers' values is the same point."""
     if floor is None:
         return grid[int(np.argmin(objective(grid)))]
     lows = floor(grid)
-    order = np.argsort(lows, kind="stable")
+    chunks = np.split(np.argsort(lows, kind="stable"), range(32, len(grid), 32))
+    count = workers.worker_count(len(chunks), rows, ETS_ROWS_PER_WORKER)
+
+    def search(share: np.ndarray) -> np.ndarray:
+        values = np.full(len(share), np.inf)
+        for start in range(0, len(share), 32):
+            part = share[start : start + 32]
+            if lows[part[0]] > values.min():
+                break
+            values[start : start + 32] = objective(grid[part])
+        return values
+
+    shares = [np.concatenate(chunks[k::count]) for k in range(count)]
     values = np.full(len(grid), np.inf)
-    for part in np.split(order, range(32, len(order), 32)):
-        if lows[part[0]] > values.min():
-            break
-        values[part] = objective(grid[part])
+    for share, found in zip(shares, workers.forked_map(search, shares, float)):
+        values[share] = found
     return grid[int(np.argmin(values))]
 
 
@@ -244,7 +267,7 @@ def fit_ets(dataset: Dataset, ts: TsModel, loss: str = "mse", num_bins: int = 10
         mean_feats, slack = np.array([q1.mean(), q2.mean(), 1.0 / c]), 64 * len(dataset) * np.finfo(float).eps
         floor = lambda w: (correct.mean() - w @ mean_feats) ** 2 - slack
 
-    best = _grid_argmin(objective, _simplex_grid(0.01), floor)
+    best = _grid_argmin(objective, _simplex_grid(0.01), floor, len(dataset))
 
     # local refinement on a 0.001 lattice around the coarse optimum
     deltas = np.arange(-10, 11) * 0.001
@@ -255,7 +278,7 @@ def fit_ets(dataset: Dataset, ts: TsModel, loss: str = "mse", num_bins: int = 10
             w3 = 1.0 - w1 - w2
             if w1 >= -1e-12 and w2 >= -1e-12 and w3 >= -1e-12:
                 cand.append((max(w1, 0.0), max(w2, 0.0), max(w3, 0.0)))
-    best = _grid_argmin(objective, np.asarray(cand), floor)
+    best = _grid_argmin(objective, np.asarray(cand), floor, len(dataset))
     best = best / best.sum()
     return EtsModel(temperature=t, weights=(float(best[0]), float(best[1]), float(best[2])), num_classes=c)
 

@@ -12,7 +12,7 @@ import warnings
 
 import pytest
 
-from calibkit import io_files
+from calibkit import io_files, workers
 from calibkit.cli import main
 from calibkit.errors import DataFormatError
 from calibkit.io_files import read_logits, write_logits
@@ -55,7 +55,7 @@ def force_blocks(monkeypatch, cpus):
         return real_fork()
 
     monkeypatch.setattr(io_files, "VALUES_PER_WORKER", 1)
-    monkeypatch.setattr(io_files, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(workers, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(os, "fork", fork)
     return forks
 

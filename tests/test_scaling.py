@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -207,7 +208,10 @@ def test_fit_ets_matches_exhaustive_search_on_degenerate_labels(labels):
     assert_fit_ets_matches_exhaustive(Dataset(labels=y, logits=z), TsModel(temperature=0.6, num_classes=6), num_bins=15)
 
 
-def test_fit_ets_ece_search_matches_exhaustive_on_arbitrary_sets():
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fit_ets_ece_search_matches_exhaustive_on_arbitrary_sets(force_workers, cpus):
+    """With cpus > 1, the bound search is dealt to that many workers at every size."""
+    forks = force_workers(cpus)
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -229,19 +233,29 @@ def test_fit_ets_ece_search_matches_exhaustive_on_arbitrary_sets():
         assert_fit_ets_matches_exhaustive(ds, TsModel(temperature=temperature, num_classes=c), num_bins=num_bins)
 
     check()
+    assert (len(forks) > 0) == (cpus > 1)
 
 
-def test_fit_ets_ece_search_evaluates_under_1500_of_5592_points(monkeypatch):
-    evaluated = []
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fit_ets_ece_search_evaluates_under_1500_of_5592_points(tmp_path, monkeypatch, force_workers, cpus):
+    """Counted over this process and every worker: each evaluated point
+    appends one byte to a file, in one O_APPEND write per call."""
+    forks = force_workers(cpus)
+    counts = tmp_path / "evaluated"
+    fd = os.open(counts, os.O_CREAT | os.O_WRONLY | os.O_APPEND)
 
     def counting_objective(*args, make=_ets_ece_objective):
         value = make(*args)
-        return lambda w: evaluated.append(len(np.atleast_2d(w))) or value(w)
+        return lambda w: os.write(fd, b"." * len(np.atleast_2d(w))) and value(w)
 
     monkeypatch.setattr(calibkit.scaling, "_ets_ece_objective", counting_objective)
     ds = generate(SynthConfig(num_samples=25_000, regime="heteroscedastic", seed=81))
-    fit_ets(ds, fit_ts(ds), loss="ece")
-    assert 0 < sum(evaluated) <= 1500  # the exhaustive search evaluates 5151 + 441
+    try:
+        fit_ets(ds, fit_ts(ds), loss="ece")
+    finally:
+        os.close(fd)
+    assert 0 < counts.stat().st_size <= 1500  # the exhaustive search evaluates 5151 + 441
+    assert len(forks) == 2 * (cpus - 1)  # the coarse grid and the refinement lattice
 
 
 def test_softplus_inverse_round_trip():
