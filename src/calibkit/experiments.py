@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import workers
 from .core import Dataset, Predictions, softmax
 from .metrics import accuracy, ece, ece_equal_mass, ece_kde, nll, reliability_data
 from .binning import HistBinModel, IrmModel, IrovaModel, IrovaTsModel, PbmcModel
@@ -27,45 +28,62 @@ EXPERIMENT_TEST_SIZE = 20_000
 # them for every calibrator of a run. A loss of None is the method's default:
 # mse for ets, config.loss for pts. The fitters name this module's fit_*
 # functions inside lambdas, so they are looked up when called and a patched
-# experiments.fit_* is the one that runs. `ts()` returns the dataset's TS fit,
-# made at most once per fit_methods call and shared by ts, ets and irova_ts.
+# experiments.fit_* is the one that runs. `ts` is the dataset's TS fit, which
+# _shared_ts makes once, before any other fit, for ts, ets and irova_ts.
 CALIBRATORS = {
-    "ts": (TsModel, lambda ds, ts, cfg, loss: ts()),
-    "ets": (EtsModel, lambda ds, ts, cfg, loss: fit_ets(ds, ts(), loss or "mse", cfg.num_bins)),
+    "ts": (TsModel, lambda ds, ts, cfg, loss: ts),
+    "ets": (EtsModel, lambda ds, ts, cfg, loss: fit_ets(ds, ts, loss or "mse", cfg.num_bins)),
     "pts": (PtsModel, lambda ds, ts, cfg, loss: fit_pts(ds, replace(cfg, loss=loss) if loss else cfg)),
     "histbin": (HistBinModel, lambda ds, ts, cfg, loss: fit_hist_binning(ds, cfg.num_bins)),
     "irova": (IrovaModel, lambda ds, ts, cfg, loss: fit_irova(ds)),
     "irm": (IrmModel, lambda ds, ts, cfg, loss: fit_irm(ds)),
-    "irova_ts": (IrovaTsModel, lambda ds, ts, cfg, loss: fit_irova_ts(ds, ts())),
+    "irova_ts": (IrovaTsModel, lambda ds, ts, cfg, loss: fit_irova_ts(ds, ts)),
     "pbmc": (PbmcModel, lambda ds, ts, cfg, loss: fit_pbmc(ds, num_bins=cfg.num_bins, seed=cfg.seed)),
 }
-# the methods whose fit reads the training loss; fit_methods fits every other
-# method once, whatever the losses
+# the methods whose fit reads the training loss; every other method is fitted
+# once, with the first loss, whatever the losses
 LOSS_METHODS = ("ets", "pts")
+# the methods built on the dataset's TS fit
+TS_METHODS = ("ts", "ets", "irova_ts")
+# rows fitted and scored per forked worker of compare and the experiments,
+# counting each item's fit rows plus its scored rows: in fresh processes,
+# compare's 7 non-PTS methods lost with two workers at 1 000 rows a set
+# (16 000 in all) and won from 1 500 (24 000)
+ITEM_ROWS_PER_WORKER = 12_000
 
 
-def fit_methods(methods: Sequence[str], dataset: Dataset, config: PtsTrainConfig, losses: Sequence = (None,)):
-    """Fit each method on dataset with each loss, in that order; yields
-    (method, loss, model, fit seconds). A method outside LOSS_METHODS is fitted
-    with the first loss, and that model and time are yielded for every loss.
-    The first fit that needs the TS fit pays for it."""
+def _check_methods(methods: Sequence[str]) -> None:
     unknown = [m for m in methods if m not in CALIBRATORS]
     if unknown:
         raise ValueError(f"unknown calibrator kind(s): {', '.join(unknown)}")
-    ts = functools.cache(lambda: fit_ts(dataset))
-    for method in methods:
-        for i, loss in enumerate(losses):
-            if i == 0 or method in LOSS_METHODS:
-                start = time.perf_counter()
-                model = CALIBRATORS[method][1](dataset, ts, config, loss)
-                seconds = time.perf_counter() - start
-            yield method, loss, model, seconds
+
+
+def _shared_ts(methods: Sequence[str], dataset: Dataset) -> tuple[TsModel | None, float]:
+    """The dataset's TS fit and its seconds, when a method is built on it."""
+    if not any(m in TS_METHODS for m in methods):
+        return None, 0.0
+    start = time.perf_counter()
+    return fit_ts(dataset), time.perf_counter() - start
+
+
+def _fit(method: str, dataset: Dataset, ts, config: PtsTrainConfig, loss: str | None = None):
+    """One method's fit, given the dataset's shared TS fit."""
+    return CALIBRATORS[method][1](dataset, ts, config, loss)
 
 
 def fit_method(method: str, dataset: Dataset, loss: str | None = None, **settings):
     """One fit whose seed, bin count and PTS settings are PtsTrainConfig(**settings)."""
-    [(_, _, model, _)] = fit_methods([method], dataset, PtsTrainConfig(**settings), [loss])
-    return model
+    _check_methods([method])
+    return _fit(method, dataset, _shared_ts([method], dataset)[0], PtsTrainConfig(**settings), loss)
+
+
+def _fit_and_score(items: list, rows: int) -> list:
+    """[item() for item in items] on every CPU, where each item fits and
+    scores on at most `rows` rows and returns a JSON document (see
+    workers.forked_items): the items stay in this process below
+    ITEM_ROWS_PER_WORKER rows a worker."""
+    count = workers.worker_count(len(items), len(items) * rows, ITEM_ROWS_PER_WORKER)
+    return workers.forked_items(lambda i: items[i](), len(items), count)
 
 
 def evaluate_probs(probs: np.ndarray, dataset: Dataset, bins: Sequence[int]) -> dict:
@@ -93,20 +111,30 @@ def run_compare(
     timings: bool = False,
 ) -> dict:
     """Fit every requested calibrator on val, evaluate all (plus the
-    uncalibrated base) on test."""
-    report = {
+    uncalibrated base) on test. With timings, each block reports its fit
+    seconds, and the first of ts, ets and irova_ts also the shared TS fit."""
+    _check_methods(methods)
+    ts, ts_seconds = _shared_ts(methods, val)
+    first_on_ts = next((i for i, m in enumerate(methods) if m in TS_METHODS), None)
+
+    def block(i: int) -> dict:
+        start = time.perf_counter()
+        model = _fit(methods[i], val, ts, config)
+        seconds = time.perf_counter() - start
+        out = evaluate_model(model, test, bins)
+        if timings:
+            out["fit_wall_time_s"] = seconds + (ts_seconds if i == first_on_ts else 0.0)
+        return out
+
+    base = [lambda: evaluate_probs(softmax(test.logits), test, bins)]
+    blocks = _fit_and_score(base + [functools.partial(block, i) for i in range(len(methods))], len(val) + len(test))
+    return {
         "schema_version": 1,
         "seed": config.seed,
         "num_classes": test.num_classes,
         "bins": list(bins),
-        "methods": {"base": evaluate_probs(softmax(test.logits), test, bins)},
+        "methods": dict(zip(["base", *methods], blocks)),
     }
-    for method, _, model, secs in fit_methods(methods, val, config):
-        block = evaluate_model(model, test, bins)
-        if timings:
-            block["fit_wall_time_s"] = secs
-        report["methods"][method] = block
-    return report
 
 
 # the experiments' two synthetic oracles
@@ -128,29 +156,31 @@ def _test_ece(model, test: Dataset) -> float:
 def run_capacity(config: PtsTrainConfig, widths=(1, 2, 5, 10, 20), **_) -> list[dict]:
     """Test ECE of TS and of PTS at increasing hidden widths (heteroscedastic oracle)."""
     val, test = _oracle_pair(HETERO, config.seed)
-    [(_, _, ts, _)] = fit_methods(["ts"], val, config)
-    rows = [{"method": "ts", "hidden_width": 0, "num_parameters": 1, "test_ece": _test_ece(ts, test)}]
-    for w in widths:
-        [(_, _, model, _)] = fit_methods(["pts"], val, replace(config, hidden=(int(w), int(w))))
-        rows.append(
-            {
-                "method": "pts",
-                "hidden_width": int(w),
-                "num_parameters": int(model.mlp.flat.size),
-                "test_ece": _test_ece(model, test),
-            }
-        )
-    return rows
+    ts, _ = _shared_ts(["ts"], val)
+
+    def pts_row(width: int) -> dict:
+        model = _fit("pts", val, None, replace(config, hidden=(width, width)))
+        n = int(model.mlp.flat.size)
+        return {"method": "pts", "hidden_width": width, "num_parameters": n, "test_ece": _test_ece(model, test)}
+
+    ts_row = {"method": "ts", "hidden_width": 0, "num_parameters": 1}
+    items = [lambda: ts_row | {"test_ece": _test_ece(ts, test)}]
+    return _fit_and_score(items + [functools.partial(pts_row, int(w)) for w in widths], len(val) + len(test))
 
 
 def run_bins_sweep(config: PtsTrainConfig, bins=range(5, 21, 2), **_) -> list[dict]:
     """ECE of TS, ETS and PTS under every requested evaluation bin count."""
     val, test = _oracle_pair(HETERO, config.seed)
-    rows = []
-    for name, _, model, _ in fit_methods(("ts", "ets", "pts"), val, config):
+    methods = ("ts", "ets", "pts")
+    ts, _ = _shared_ts(methods, val)
+
+    def rows(method: str) -> list[dict]:
+        model = _fit(method, val, ts, config)
         preds = Predictions.from_probs(model.apply_probs(test.logits), test.labels)  # one apply per model
-        rows += [{"method": name, "num_bins": int(m), "test_ece": ece(preds, m)} for m in bins]
-    return rows
+        return [{"method": method, "num_bins": int(m), "test_ece": ece(preds, m)} for m in bins]
+
+    tables = _fit_and_score([functools.partial(rows, m) for m in methods], len(val) + len(test))
+    return [row for table in tables for row in table]
 
 
 def run_data_efficiency(
@@ -160,27 +190,38 @@ def run_data_efficiency(
     **_,
 ) -> list[dict]:
     """ECE per method when fitting on shrinking subsets of the validation oracle."""
+    _check_methods(methods)
     val, test = _oracle_pair(GLOBAL_TEMP, config.seed)
-    rows = []
+
+    def row(method: str, frac: float, subset: Dataset, ts) -> dict:
+        model = _fit(method, subset, ts, config)
+        n = len(subset)
+        return {"method": method, "fraction": float(frac), "num_fit_samples": n, "test_ece": _test_ece(model, test)}
+
+    items = []
     for frac in fractions:
         subset = val if frac >= 1.0 else split(val, (frac,), seed=config.seed)[0]
-        for method, _, model, _ in fit_methods(methods, subset, config):
-            rows.append(
-                {
-                    "method": method,
-                    "fraction": float(frac),
-                    "num_fit_samples": len(subset),
-                    "test_ece": _test_ece(model, test),
-                }
-            )
-    return rows
+        ts, _ = _shared_ts(methods, subset)
+        items += [functools.partial(row, m, frac, subset, ts) for m in methods]
+    return _fit_and_score(items, len(val) + len(test))
 
 
 def run_loss_ablation(config: PtsTrainConfig, methods=("ets", "pts"), losses=("mse", "ece"), **_) -> list[dict]:
-    """Grid of test ECEs for each (method, training loss) combination."""
+    """Grid of test ECEs for each (method, training loss) combination; a
+    method outside LOSS_METHODS is fitted once and its row repeated."""
+    _check_methods(methods)
     val, test = _oracle_pair(HETERO, config.seed)
-    fits = fit_methods(methods, val, config, losses)
-    return [{"method": m, "loss": loss, "test_ece": _test_ece(model, test)} for m, loss, model, _ in fits]
+    ts, _ = _shared_ts(methods, val)
+    grid = [(m, loss) for m in methods for loss in losses]
+    keys = [(m, loss if m in LOSS_METHODS else losses[0]) for m, loss in grid]
+    fits = list(dict.fromkeys(keys))  # each distinct (method, loss) fit once
+
+    def test_ece(method: str, loss: str) -> float:
+        return _test_ece(_fit(method, val, ts, config, loss), test)
+
+    eces = _fit_and_score([functools.partial(test_ece, *fit) for fit in fits], len(val) + len(test))
+    found = dict(zip(fits, eces))
+    return [{"method": m, "loss": loss, "test_ece": found[key]} for (m, loss), key in zip(grid, keys)]
 
 
 # experiment name -> runner. Every runner takes (config, **given): config

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from calibkit import io_files, metrics, scaling, workers
+from calibkit import experiments, io_files, metrics, scaling, workers
 
 
 @pytest.fixture
@@ -25,6 +25,7 @@ def force_workers(monkeypatch):
         monkeypatch.setattr(io_files, "VALUES_PER_WORKER", 1)
         monkeypatch.setattr(scaling, "ETS_ROWS_PER_WORKER", 1)
         monkeypatch.setattr(metrics, "KDE_TERMS_PER_WORKER", 1)
+        monkeypatch.setattr(experiments, "ITEM_ROWS_PER_WORKER", 1)
         monkeypatch.setattr(os, "fork", fork)
         return forks
 

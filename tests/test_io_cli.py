@@ -713,30 +713,123 @@ def test_cli_experiment_runs_and_matches_golden_hash(tmp_path, small_experiments
     assert sha256_of(out / f"{name}.csv", out / f"{name}.json") == digest
 
 
+def counting(fd, fit):
+    """fit, appending one byte to fd at each call, in one O_APPEND write, so
+    that calls in forked workers are counted too."""
+    return lambda *args: os.write(fd, b".") and fit(*args)
+
+
+def test_golden_outputs_under_forced_workers(tmp_path, force_workers, small_experiments):
+    """The compare report, the experiment tables and the model files of the
+    tests above, with every fit-and-score item, CSV read, ETS-ECE search and
+    KDE estimate forked whenever it can be: the same bytes at 1, 2 and 3 workers."""
+    val, test = tmp_path / "val.csv", tmp_path / "test.csv"
+    write_logits(generate(SynthConfig(num_samples=600, regime="heteroscedastic", seed=17)), val)
+    write_logits(generate(SynthConfig(num_samples=600, regime="heteroscedastic", seed=18)), test)
+    methods = "ts,ets,pts,histbin,irova,irm,irova_ts,pbmc"
+    compare = ["compare", "--methods", methods, "--val", str(val), "--test", str(test), "--seed", "17", "--steps", "200"]
+    fit_set = generate(SynthConfig(num_samples=2000, regime="heteroscedastic", seed=17))
+    for cpus in (1, 2, 3):
+        forks = force_workers(cpus)
+        out = tmp_path / f"{cpus}"
+        out.mkdir()
+        assert main(compare + ["--out", str(out / "r.json")]) == 0
+        assert sha256_of(out / "r.json") == "f1ca8b29af88dd42c9e93da4251ded8a90f47cf61d9f76cb41d76c74bd70782f"
+        for name, (_, _, digest) in GOLDEN_EXPERIMENT_TABLES.items():
+            assert main(["experiment", name, "--out", str(out), "--steps", "50"]) == 0
+            assert sha256_of(out / f"{name}.csv", out / f"{name}.json") == digest, name
+        for kind, digest in GOLDEN_MODEL_FILES.items():
+            method, _, loss = kind.partition("-")
+            save_model(fit_method(method, fit_set, seed=17, num_bins=10, loss=loss or None), out / "m.json")
+            assert sha256_of(out / "m.json") == digest, kind
+        assert (len(forks) > 0) == (cpus > 1)
+
+
 @pytest.mark.parametrize("command", ["compare", "loss_ablation"])
-def test_compare_fits_ts_once_for_every_method_built_on_it(tmp_path, monkeypatch, small_experiments, command):
-    calls = []
+def test_compare_fits_ts_once_for_every_method_built_on_it(tmp_path, monkeypatch, small_experiments, force_workers, command):
+    """Counted over this process and every worker, at 1, 2 and 3 forced workers."""
+    counts = tmp_path / "calls"
+    fd = os.open(counts, os.O_CREAT | os.O_WRONLY | os.O_APPEND)
     for module in (experiments, calibkit.binning, calibkit.scaling):
-        monkeypatch.setattr(module, "fit_ts", lambda ds, fit=fit_ts: calls.append(ds) or fit(ds))
+        monkeypatch.setattr(module, "fit_ts", counting(fd, fit_ts))
     val, test = write_sets(tmp_path, n=100)
     argv = {
         "compare": ["compare", "--methods", "ts,ets,irova_ts", "--val", val, "--test", test],
         # ets once per loss: mse, then ece
         "loss_ablation": ["experiment", "loss_ablation", "--steps", "5", "--out", str(tmp_path)],
     }[command]
-    assert main(argv) == 0
-    assert len(calls) == 1
+    try:
+        for cpus in (1, 2, 3):
+            force_workers(cpus)
+            before = counts.stat().st_size
+            assert main(argv) == 0
+            assert counts.stat().st_size - before == 1
+    finally:
+        os.close(fd)
 
 
-def test_loss_ablation_fits_a_method_without_a_loss_once(tmp_path, monkeypatch, small_experiments):
-    calls = []
-    monkeypatch.setattr(experiments, "fit_irova", lambda ds: calls.append(ds) or fit_irova(ds))
+def test_loss_ablation_fits_a_method_without_a_loss_once(tmp_path, monkeypatch, small_experiments, force_workers):
+    """Counted over this process and every worker, at 1, 2 and 3 forced workers."""
+    counts = tmp_path / "calls"
+    fd = os.open(counts, os.O_CREAT | os.O_WRONLY | os.O_APPEND)
+    monkeypatch.setattr(experiments, "fit_irova", counting(fd, fit_irova))
     argv = ["experiment", "loss_ablation", "--methods", "irova,ets", "--losses", "mse,ece", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    assert len(calls) == 1
-    rows = json.loads((tmp_path / "loss_ablation.json").read_text())["rows"]
-    assert [(r["method"], r["loss"]) for r in rows] == [("irova", "mse"), ("irova", "ece"), ("ets", "mse"), ("ets", "ece")]
-    assert rows[0]["test_ece"] == rows[1]["test_ece"]
+    try:
+        for cpus in (1, 2, 3):
+            force_workers(cpus)
+            before = counts.stat().st_size
+            assert main(argv) == 0
+            assert counts.stat().st_size - before == 1
+            rows = json.loads((tmp_path / "loss_ablation.json").read_text())["rows"]
+            pairs = [(r["method"], r["loss"]) for r in rows]
+            assert pairs == [("irova", "mse"), ("irova", "ece"), ("ets", "mse"), ("ets", "ece")]
+            assert rows[0]["test_ece"] == rows[1]["test_ece"]
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "case,code,prefix",
+    [
+        ("overflow", 3, "numerical failure: "),  # pbmc's temperature search overflows
+        ("too_few_rows", 2, "data error: "),  # pbmc cannot split 29 rows into its folds
+    ],
+)
+def test_cli_compare_error_in_a_fit_and_score_item(tmp_path, capfd, force_workers, cpus, case, code, prefix):
+    """capfd sees what a worker writes to stderr, too."""
+    test = tmp_path / "test.csv"
+    write_logits(generate(SynthConfig(num_samples=200, num_classes=4, regime="global_temp", seed=51)), test)
+    val = tmp_path / "val.csv"
+    if case == "overflow":
+        rng = np.random.default_rng(0)
+        write_logits(Dataset(labels=rng.integers(0, 4, size=200), logits=rng.normal(size=(200, 4)) * 1e307), val)
+    else:
+        write_logits(generate(SynthConfig(num_samples=29, num_classes=4, regime="global_temp", seed=50)), val)
+    force_workers(cpus)
+    argv = ["compare", "--methods", "histbin,irova,pbmc,irm", "--val", str(val), "--test", str(test)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print more stderr lines
+        assert main(argv) == code
+    assert one_error_line(capfd, prefix)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_compare_prints_a_fitter_warning_once(tmp_path, capfd, monkeypatch, force_workers, cpus):
+    """capfd sees what a worker writes to stderr, too."""
+    def warning_irova(ds):
+        warnings.warn("irova warns")
+        return fit_irova(ds)
+
+    monkeypatch.setattr(experiments, "fit_irova", warning_irova)
+    val, test = write_sets(tmp_path, n=300)
+    force_workers(cpus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # a warning issued twice would print twice
+        assert main(["compare", "--methods", "histbin,irova,irm,ts", "--val", val, "--test", test]) == 0
+    printed = capfd.readouterr()
+    assert printed.err == "warning: irova warns\n"
+    assert set(json.loads(printed.out)["methods"]) == {"base", "histbin", "irova", "irm", "ts"}
 
 
 @pytest.mark.parametrize(

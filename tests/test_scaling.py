@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import calibkit.scaling
+from calibkit import workers
 from calibkit.core import Dataset, Predictions, softmax, sorted_topk_matrix
 from calibkit.errors import NumericalError
 from calibkit.metrics import ece
@@ -478,6 +479,24 @@ def test_fit_pts_weights_match_golden_hash_at_other_class_counts(num_classes):
     ds = generate(SynthConfig(num_samples=5000, num_classes=num_classes, regime="heteroscedastic", seed=17))
     model = fit_pts(ds, PtsTrainConfig(steps=2000, seed=17))
     assert weights_sha256(model.mlp) == GOLDEN_WEIGHTS_BY_CLASS_COUNT[num_classes]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_fit_pts_weights_match_golden_hashes_in_forked_workers(force_workers, cpus):
+    """The seven seeded fits above as the items of one forked_items call, as
+    compare and the experiments run them: a fit in a worker has the bits of a
+    fit here. (With one worker, forked_items is the two tests above.)"""
+    cases = [(overrides, 10, digest) for overrides, digest in GOLDEN_WEIGHTS.values()]
+    cases += [({}, num_classes, digest) for num_classes, digest in GOLDEN_WEIGHTS_BY_CLASS_COUNT.items()]
+
+    def weights(i):
+        overrides, num_classes, _ = cases[i]
+        ds = generate(SynthConfig(num_samples=5000, num_classes=num_classes, regime="heteroscedastic", seed=17))
+        return weights_sha256(fit_pts(ds, PtsTrainConfig(steps=2000, seed=17, **overrides)).mlp)
+
+    forks = force_workers(cpus)
+    assert workers.forked_items(weights, len(cases), cpus) == [digest for _, _, digest in cases]
+    assert forks == [1] * (cpus - 1)
 
 
 def test_fit_pts_overflowing_logits_raise_numerical_error():

@@ -1,21 +1,23 @@
-"""The forked-worker helper and its three users. forked_map must give the
-serial result whatever happens to a worker, reap every child exactly once,
-never fork beside another thread and never let a worker return into the
-caller; read_logits, the ETS-ECE bound search and ece_kde must give the same
-bits with 1, 2 or 3 workers as in one process."""
+"""The forked-worker helper and its four users. forked_map and forked_items
+must give the serial result whatever happens to a worker, reap every child
+exactly once, never fork beside another thread or inside a worker and never
+let a worker return into the caller; read_logits, the ETS-ECE bound search,
+ece_kde and the fit-and-score items of compare and the experiments must give
+the same bits with 1, 2 or 3 workers as in one process."""
 
 import ast
 import mmap
 import os
 import signal
 import threading
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from calibkit import metrics, workers
+from calibkit import experiments, metrics, scaling, workers
 from calibkit.cli import main
 from calibkit.core import Dataset, Predictions
 from calibkit.io_files import write_logits
@@ -217,6 +219,153 @@ def test_warning_in_a_worker_reaches_the_cli_stderr_once(tmp_path, force_workers
     assert_no_child_left()
 
 
+def document(i):
+    return {"item": i, "root": float(i) ** 0.5, "parts": [i, None, True, "x", -0.0]}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_forked_items_gives_the_serial_result_and_reaps_every_child(force_workers, cpus):
+    forks = force_workers(cpus)
+    assert workers.forked_items(document, 10, cpus) == [document(i) for i in range(10)]
+    assert forks == [1] * (cpus - 1)
+    assert_no_child_left()
+
+
+def test_forked_items_with_more_items_than_tickets(force_workers):
+    count = 3 * workers.MAX_TICKETS + 7
+    force_workers(2)
+    assert workers.forked_items(document, count, 2) == [document(i) for i in range(count)]
+    assert_no_child_left()
+
+
+def test_forked_items_hands_out_items_in_turn(force_workers):
+    """The process that takes the long first item takes no other: the rest
+    go to the other process while it works."""
+    force_workers(2)
+
+    def pid(i):
+        if i == 0:
+            time.sleep(0.5)
+        return os.getpid()
+
+    pids = workers.forked_items(pid, 10, 2)
+    assert len(set(pids)) == 2 and pids.count(pids[0]) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["raise", "warn", "kill"])
+def test_items_of_a_failed_worker_are_computed_in_the_parent(force_workers, failure):
+    forks = force_workers(2)
+    parent = os.getpid()
+
+    def item(i):
+        if os.getpid() == parent:
+            time.sleep(0.02)  # so that the worker takes items too
+        elif failure == "raise":
+            raise RuntimeError("not in the parent")
+        elif failure == "warn":
+            warnings.warn("not in the parent")
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return [i, os.getpid()]
+
+    try:
+        results = workers.forked_items(item, 10, 2)
+    except RuntimeError:
+        if os.getpid() != parent:  # the worker came back into the caller: end it
+            os._exit(0)
+        raise
+    assert results == [[i, parent] for i in range(10)]
+    assert forks == [1]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_forked_items_raises_and_warns_as_the_serial_code(force_workers, cpus):
+    """Serially, item 3 warns and item 5 raises, and items 6 and 8 never run."""
+    force_workers(cpus)
+
+    def item(i):
+        time.sleep(0.01)
+        if i in (3, 6):
+            warnings.warn(f"item {i}")
+        if i in (5, 8):
+            raise ValueError(f"item {i}")
+        return i
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="item 5"):
+            workers.forked_items(item, 10, cpus)
+    assert [str(w.message) for w in seen] == ["item 3"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["fork", "first pipe", "second pipe"])
+def test_forked_items_when_pipe_or_fork_raises_oserror(force_workers, monkeypatch, failing):
+    forks = force_workers(3)
+    counting_fork, real_pipe = os.fork, os.pipe
+    pipes = []
+
+    def fork():
+        if failing == "fork":
+            raise OSError(11, "Resource temporarily unavailable")
+        return counting_fork()
+
+    def pipe():
+        pipes.append(1)
+        if len(pipes) == {"first pipe": 1, "second pipe": 3}.get(failing):
+            raise OSError(24, "Too many open files")
+        return real_pipe()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "pipe", pipe)
+    assert workers.forked_items(document, 10, 3) == [document(i) for i in range(10)]
+    assert forks == {"fork": [], "first pipe": [], "second pipe": [1]}[failing]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_no_process_of_a_pool_forks_again(force_workers, cpus):
+    """Neither a worker nor this process, while its workers run, forks: so a
+    fit that forks alone runs serially inside a pool."""
+    force_workers(cpus)
+
+    def item(i):
+        time.sleep(0.01)
+        return [os.getpid(), workers.worker_count(10, 10, 1)]
+
+    found = workers.forked_items(item, 20, cpus)
+    assert len({pid for pid, _ in found}) == cpus  # every process took an item
+    assert {count for _, count in found} == {1}
+    assert workers.worker_count(10, 10, 1) == cpus  # the pool is gone
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_loss_ablation_never_runs_more_processes_than_cpus(tmp_path, force_workers, monkeypatch, cpus):
+    """Its ETS-ECE fit on 20 000 rows forks its weight search when it runs
+    alone. Every fork of every process appends one byte to a file, in one
+    O_APPEND write."""
+    assert experiments.EXPERIMENT_VAL_SIZE >= 2 * scaling.ETS_ROWS_PER_WORKER  # forks with two workers
+    force_workers(cpus)
+    counted = tmp_path / "forks"
+    fd = os.open(counted, os.O_CREAT | os.O_WRONLY | os.O_APPEND)
+    counting_fork = os.fork
+
+    def fork():
+        os.write(fd, b".")
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    try:
+        assert main(["experiment", "loss_ablation", "--steps", "5", "--out", str(tmp_path / "exp")]) == 0
+    finally:
+        os.close(fd)
+    assert counted.stat().st_size == cpus - 1
+    assert_no_child_left()
+
+
 def _kde_preds():
     """Confidences whose bandwidth, window sizes and empty windows vary: a
     dense cluster, a sparse tail and a few outliers."""
@@ -277,22 +426,31 @@ def test_fit_ets_ece_in_workers_on_all_equal_logits(force_workers):
 
 
 def test_only_the_worker_helper_forks():
-    """Every fork in calibkit goes through workers.forked_map, which reaps its
-    children and falls back to the serial result; no other module calls fork."""
+    """Every fork in calibkit goes through the workers module, which reaps its
+    children and falls back to the serial result: no other module calls fork,
+    and no module at all imports another way to start processes."""
     src = Path(__file__).resolve().parents[1] / "src" / "calibkit"
-    forks = []
+    found = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "workers.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
-            names = []
+            names = modules = []
             if isinstance(node, ast.Attribute):
                 names = [node.attr]
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [alias.name.split(".")[-1] for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+                names = [name.split(".")[-1] for name in modules]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                names = [alias.name for alias in node.names]
             elif isinstance(node, ast.Name):
                 names = [node.id]
-            elif isinstance(node, ast.Constant):  # getattr(os, "fork")
-                names = [node.value]
-            forks += [f"{path.name}:{node.lineno} {name}" for name in names if name in ("fork", "forkpty")]
-    assert forks == []
+            elif isinstance(node, ast.Constant):  # getattr(os, "fork"), import_module("subprocess")
+                names = modules = [node.value]
+            if path.name != "workers.py":
+                found += [f"{path.name}:{node.lineno} {name}" for name in names if name in ("fork", "forkpty")]
+            found += [
+                f"{path.name}:{node.lineno} {module}"
+                for module in modules
+                if isinstance(module, str) and module.split(".")[0] in ("multiprocessing", "concurrent", "subprocess")
+            ]
+    assert found == []
