@@ -238,14 +238,29 @@ def test_forked_items_with_more_items_than_tickets(force_workers):
     assert_no_child_left()
 
 
-def test_forked_items_hands_out_items_in_turn(force_workers):
-    """The process that takes the long first item takes no other: the rest
-    go to the other process while it works."""
+def wait_for(condition, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.002)
+
+
+def lines(path):
+    return path.read_text().split() if path.exists() else []
+
+
+def test_forked_items_hands_out_items_in_turn(tmp_path, force_workers):
+    """The process that takes the first item takes no other: the first item
+    waits until the other process has done the rest, which it can only do
+    if the items are handed out one at a time."""
     force_workers(2)
+    done = tmp_path / "done"
 
     def pid(i):
         if i == 0:
-            time.sleep(0.5)
+            wait_for(lambda: len(lines(done)) == 9)
+        else:
+            with open(done, "a") as fh:  # O_APPEND: one short write per item
+                fh.write(f"{i}\n")
         return os.getpid()
 
     pids = workers.forked_items(pid, 10, 2)
@@ -254,14 +269,17 @@ def test_forked_items_hands_out_items_in_turn(force_workers):
 
 
 @pytest.mark.parametrize("failure", ["raise", "warn", "kill"])
-def test_items_of_a_failed_worker_are_computed_in_the_parent(force_workers, failure):
+def test_items_of_a_failed_worker_are_computed_in_the_parent(tmp_path, force_workers, failure):
     forks = force_workers(2)
     parent = os.getpid()
+    taken = tmp_path / "taken"
 
     def item(i):
         if os.getpid() == parent:
-            time.sleep(0.02)  # so that the worker takes items too
-        elif failure == "raise":
+            wait_for(taken.exists)  # the worker takes an item before this process goes on
+            return [i, os.getpid()]
+        taken.touch()
+        if failure == "raise":
             raise RuntimeError("not in the parent")
         elif failure == "warn":
             warnings.warn("not in the parent")
@@ -275,6 +293,7 @@ def test_items_of_a_failed_worker_are_computed_in_the_parent(force_workers, fail
         if os.getpid() != parent:  # the worker came back into the caller: end it
             os._exit(0)
         raise
+    assert taken.exists()
     assert results == [[i, parent] for i in range(10)]
     assert forks == [1]
     assert_no_child_left()
@@ -326,13 +345,17 @@ def test_forked_items_when_pipe_or_fork_raises_oserror(force_workers, monkeypatc
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_no_process_of_a_pool_forks_again(force_workers, cpus):
+def test_no_process_of_a_pool_forks_again(tmp_path, force_workers, cpus):
     """Neither a worker nor this process, while its workers run, forks: so a
-    fit that forks alone runs serially inside a pool."""
+    fit that forks alone runs serially inside a pool. Each item waits until
+    every process has taken one."""
     force_workers(cpus)
+    arrived = tmp_path / "arrived"
 
     def item(i):
-        time.sleep(0.01)
+        with open(arrived, "a") as fh:  # O_APPEND: one short write per item
+            fh.write(f"{os.getpid()}\n")
+        wait_for(lambda: len(set(lines(arrived))) == cpus)
         return [os.getpid(), workers.worker_count(10, 10, 1)]
 
     found = workers.forked_items(item, 20, cpus)
