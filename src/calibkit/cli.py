@@ -92,8 +92,8 @@ def _fraction_list(text: str) -> list[float]:
 
 def _str_list(text: str) -> list[str]:
     values = [v for v in text.split(",") if v]
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated list of names, got {text!r}")
+    if not values or len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of distinct names, got {text!r}")
     return values
 
 

@@ -79,9 +79,8 @@ def fit_method(method: str, dataset: Dataset, loss: str | None = None, **setting
 
 def _fit_and_score(items: list, rows: int) -> list:
     """[item() for item in items] on every CPU, where each item fits and
-    scores on at most `rows` rows and returns a JSON document (see
-    workers.forked_items): the items stay in this process below
-    ITEM_ROWS_PER_WORKER rows a worker."""
+    scores on at most `rows` rows (see workers.forked_items): the items stay
+    in this process below ITEM_ROWS_PER_WORKER rows a worker."""
     count = workers.worker_count(len(items), len(items) * rows, ITEM_ROWS_PER_WORKER)
     return workers.forked_items(lambda i: items[i](), len(items), count)
 

@@ -136,23 +136,19 @@ def _parse_rows_fast(lines: list[str], c: int) -> Dataset | None:
     """The data rows parsed by np.loadtxt, or None when the line parser must
     run: a row that does not parse, no rows, a label out of range or a
     non-finite logit (Dataset rejects the last three). A file of at least
-    2 * VALUES_PER_WORKER values is parsed in contiguous blocks of rows by
-    workers.forked_map; every row goes through the same np.loadtxt call
-    either way, so the values are the same."""
+    2 * VALUES_PER_WORKER values is parsed in contiguous blocks of rows, the
+    items of workers.forked_items; every row goes through the same np.loadtxt
+    call either way, so the values are the same."""
     dtype = np.dtype([("label", np.int64), ("z", float, (c,))])
     n = len(lines) - 1
     blocks = workers.worker_count(n, n * (c + 1), VALUES_PER_WORKER)
     bounds = [1 + n * i // blocks for i in range(blocks + 1)]
     try:
-        parts = workers.forked_map(
-            lambda rows: _load_rows(lines[rows.start : rows.stop], dtype),
-            [range(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])],
-            dtype,
-        )
+        parts = workers.forked_items(lambda i: _load_rows(lines[bounds[i] : bounds[i + 1]], dtype), blocks, blocks)
         # contiguous columns straight from the parts: no whole-file record array
         labels = np.concatenate([p["label"] for p in parts])
         logits = np.concatenate([p["z"] for p in parts])
-        del parts  # frees the records and the blocks' shared memory
+        del parts  # frees the records
         return Dataset(labels=labels, logits=logits)
     except ValueError:
         return None

@@ -167,31 +167,24 @@ def ece_kde(preds: Predictions) -> float:
     scale = -0.5 / (h * h)
     norm = n * h * np.sqrt(2 * np.pi)
 
-    def terms(share: np.ndarray) -> np.ndarray:
-        out = np.empty(len(share))
-        for i, k in enumerate(share):
-            g, a, b = blocks[k], starts[k], stops[k]
-            w = np.subtract.outer(g, conf[a:b])
-            np.square(w, out=w)
-            w *= scale
-            np.exp(w, out=w)
-            wsum = w.sum(axis=1)
-            acc_hat = (w @ corr[a:b]) / np.maximum(wsum, PROB_FLOOR)
-            out[i] = float(np.sum(np.abs(acc_hat - g) * (wsum / norm)) * dp)
-        return out
+    def term(k: int) -> float:
+        g, a, b = blocks[k], starts[k], stops[k]
+        w = np.subtract.outer(g, conf[a:b])
+        np.square(w, out=w)
+        w *= scale
+        np.exp(w, out=w)
+        wsum = w.sum(axis=1)
+        acc_hat = (w @ corr[a:b]) / np.maximum(wsum, PROB_FLOOR)
+        return float(np.sum(np.abs(acc_hat - g) * (wsum / norm)) * dp)
 
-    # The blocks are dealt round-robin to workers (see workers.worker_count),
-    # and their terms are added here one by one in block order, as one
-    # process adds them, so the value is the same bits either way (not with
-    # sum(), which compensates its float additions from Python 3.12 on).
+    # The blocks are the items of workers.forked_items, and their terms are
+    # added here one by one in block order, as one process adds them, so the
+    # value is the same bits either way (not with sum(), which compensates its
+    # float additions from Python 3.12 on).
     count = workers.worker_count(len(blocks), KDE_BLOCK * int((stops - starts).sum()), KDE_TERMS_PER_WORKER)
-    shares = [np.arange(k, len(blocks), count) for k in range(count)]
-    block_terms = np.empty(len(blocks))
-    for share, found in zip(shares, workers.forked_map(terms, shares, float)):
-        block_terms[share] = found
     value = 0.0
-    for term in block_terms.tolist():
-        value += term
+    for found in workers.forked_items(term, len(blocks), count):
+        value += found
     return value
 
 

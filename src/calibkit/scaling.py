@@ -217,17 +217,20 @@ def _grid_argmin(objective, grid: np.ndarray, floor, rows: int) -> np.ndarray:
     exceeds the best value found: every point skipped is worse than the minimum, so
     the result is that of the exhaustive search.
 
-    The 32-point chunks are dealt round-robin to workers, one per ETS_ROWS_PER_WORKER
-    rows of the objective's data, each pruning against its own best value. That is
-    at least the global minimum, so a worker too evaluates every point that attains
-    it, and the first argmin over all workers' values is the same point."""
+    The 32-point chunks are dealt round-robin into one share per ETS_ROWS_PER_WORKER
+    rows of the objective's data, each share an item of workers.forked_items that
+    prunes against its own best value. That is at least the global minimum, so a
+    share too evaluates every point that attains it, and the first argmin over all
+    shares' values is the same point."""
     if floor is None:
         return grid[int(np.argmin(objective(grid)))]
     lows = floor(grid)
     chunks = np.split(np.argsort(lows, kind="stable"), range(32, len(grid), 32))
     count = workers.worker_count(len(chunks), rows, ETS_ROWS_PER_WORKER)
+    shares = [np.concatenate(chunks[k::count]) for k in range(count)]
 
-    def search(share: np.ndarray) -> np.ndarray:
+    def search(k: int) -> np.ndarray:
+        share = shares[k]
         values = np.full(len(share), np.inf)
         for start in range(0, len(share), 32):
             part = share[start : start + 32]
@@ -236,9 +239,8 @@ def _grid_argmin(objective, grid: np.ndarray, floor, rows: int) -> np.ndarray:
             values[start : start + 32] = objective(grid[part])
         return values
 
-    shares = [np.concatenate(chunks[k::count]) for k in range(count)]
     values = np.full(len(grid), np.inf)
-    for share, found in zip(shares, workers.forked_map(search, shares, float)):
+    for share, found in zip(shares, workers.forked_items(search, count, count)):
         values[share] = found
     return grid[int(np.argmin(values))]
 

@@ -213,3 +213,20 @@ def test_cli_contract_on_drawn_model_json(files, data, command, encoding):
     with open(path, "w", encoding=encoding) as fh:
         fh.write(data.draw(model_texts(files)))
     assert_contract([command, "--model", path, "--test", files["test"], "--out", files["out"]])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--methods", "ts,irm,ts", "--timings"],
+        ["experiment", "loss_ablation", "--methods", "ets,histbin", "--losses", "mse,ece,mse"],
+        ["experiment", "data_efficiency", "--methods", "irm,irm"],
+    ],
+)
+def test_a_name_given_twice_is_a_usage_error(files, argv):
+    """A repeated method would be fitted twice into one report block, and a
+    repeated loss twice into one table row."""
+    files_flags = ["--val", files["val"], "--test", files["test"]] if argv[0] == "compare" else []
+    code, out, err = run_cli(argv + files_flags + ["--out", files["out"], "--steps", "2"])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "distinct names" in err

@@ -2,9 +2,12 @@
 function, class and method defined in src/calibkit is named again in
 src/calibkit or bench/, and every defaulted dataclass field is set there. Code
 that only the tests call goes in tests/oracles.py, and src/calibkit imports
-nothing outside the standard library but numpy."""
+nothing outside the standard library but numpy, and at start-up no module
+that only some commands need."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,6 +48,18 @@ def test_src_imports_only_the_standard_library_and_numpy():
                 continue
             foreign += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_cli_start_up_imports_no_process_module_or_scipy():
+    """A fresh `import calibkit.cli` loads none of these: each would add to
+    every command's start-up, and the forked workers import signal only to
+    kill a worker."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import sys, calibkit.cli; print(*sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split()
+    banned = {"signal", "mmap", "subprocess", "multiprocessing", "concurrent", "scipy"}
+    assert "calibkit.cli" in loaded
+    assert sorted(name for name in loaded if name.split(".")[0] in banned) == []
 
 
 def _dataclass_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:

@@ -1,13 +1,13 @@
-"""The forked-worker helper and its four users. forked_map and forked_items
-must give the serial result whatever happens to a worker, reap every child
-exactly once, never fork beside another thread or inside a worker and never
-let a worker return into the caller; read_logits, the ETS-ECE bound search,
+"""The forked-worker helper and its four users. forked_items must give the
+serial result whatever happens to a worker, reap every child exactly once,
+never fork beside another thread or inside a worker and never let a worker
+return into the caller; read_logits, the ETS-ECE bound search,
 ece_kde and the fit-and-score items of compare and the experiments must give
 the same bits with 1, 2 or 3 workers as in one process."""
 
 import ast
-import mmap
 import os
+import pickle
 import signal
 import threading
 import time
@@ -25,17 +25,11 @@ from calibkit.metrics import ece_kde
 from calibkit.scaling import TsModel, fit_ets, fit_ts
 from calibkit.synth import SynthConfig, generate
 
-SHARES = [np.arange(k, 20, 3) for k in range(3)]
+def document(i):
+    return {"item": i, "root": float(i) ** 0.5, "parts": [i, None, True, "x", -0.0]}
 
 
-def square(share):
-    return np.asarray(share, dtype=float) ** 2
-
-
-def assert_serial_result(results, shares=SHARES):
-    assert len(results) == len(shares)
-    for got, share in zip(results, shares):
-        assert got.tobytes() == square(share).tobytes()
+SERIAL = [document(i) for i in range(10)]
 
 
 def assert_no_child_left():
@@ -43,25 +37,32 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_forked_map_gives_the_serial_result_and_reaps_every_child(force_workers, cpus):
-    forks = force_workers(cpus)
-    assert_serial_result(workers.forked_map(square, SHARES, float))
-    assert forks == [1] * (min(cpus, len(SHARES)) - 1)
-    assert_no_child_left()
+def wait_for(condition, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.002)
 
 
-def test_forked_map_leaves_no_child_on_an_error(force_workers):
+def lines(path):
+    return path.read_text().split() if path.exists() else []
+
+
+def test_forked_items_leaves_no_child_on_an_error(force_workers):
+    """An error that is not computed again (here an interrupt) ends the call
+    while the workers still run: they are killed and reaped."""
     forks = force_workers(3)
     parent = os.getpid()
 
-    def fail_here(share):
+    def interrupt_here(i):
         if os.getpid() == parent:
-            raise ValueError("this share does not compute")
-        return square(share)
+            raise KeyboardInterrupt
+        time.sleep(60)  # each worker holds its first item until it is killed
+        return document(i)
 
-    with pytest.raises(ValueError, match="does not compute"):
-        workers.forked_map(fail_here, SHARES, float)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        workers.forked_items(interrupt_here, 10, 3)
+    assert time.monotonic() - start < 30
     assert forks == [1, 1]
     assert_no_child_left()
 
@@ -69,13 +70,13 @@ def test_forked_map_leaves_no_child_on_an_error(force_workers):
 def test_a_share_that_fails_in_a_worker_fails_in_the_parent(force_workers):
     force_workers(2)
 
-    def fail_on_last(share):
-        if share[-1] == 20:
-            raise ValueError("the last share does not compute")
-        return square(share)
+    def fail_on_last(i):
+        if i == 9:
+            raise ValueError("the last item does not compute")
+        return document(i)
 
-    with pytest.raises(ValueError, match="last share"):
-        workers.forked_map(fail_on_last, [np.arange(10), np.arange(11, 21)], float)
+    with pytest.raises(ValueError, match="last item"):
+        workers.forked_items(fail_on_last, 10, 2)
     assert_no_child_left()
 
 
@@ -86,13 +87,13 @@ def test_no_fork_while_another_thread_runs(force_workers):
     thread.start()
     try:
         assert workers.worker_count(10, 10, 1) == 1
-        assert_serial_result(workers.forked_map(square, SHARES, float))
+        assert workers.forked_items(document, 10, 3) == SERIAL
     finally:
         stop.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
     assert forks == []
-    assert_serial_result(workers.forked_map(square, SHARES, float))
+    assert workers.forked_items(document, 10, 3) == SERIAL
     assert forks == [1, 1]
 
 
@@ -105,46 +106,46 @@ def test_fork_that_raises_oserror_gives_the_serial_result(force_workers, monkeyp
         raise OSError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert_serial_result(workers.forked_map(square, SHARES, float))
+    assert workers.forked_items(document, 10, 3) == SERIAL
     assert calls == [1]  # no second attempt after a failed fork
 
 
-def test_second_fork_that_raises_oserror_keeps_the_first_worker(force_workers, monkeypatch):
+def test_second_fork_that_raises_oserror_keeps_the_first_worker(tmp_path, force_workers, monkeypatch):
     forks = force_workers(3)
     counting_fork = os.fork
+    parent = os.getpid()
+    taken = tmp_path / "taken"
 
     def fork_once():
         if forks:
             raise OSError(11, "Resource temporarily unavailable")
         return counting_fork()
 
+    def item(i):
+        if os.getpid() == parent:
+            wait_for(taken.exists)  # the worker takes an item before this process goes on
+        else:
+            taken.touch()
+        return [os.getpid(), document(i)]
+
     monkeypatch.setattr(os, "fork", fork_once)
-    assert_serial_result(workers.forked_map(square, SHARES, float))
+    found = workers.forked_items(item, 10, 3)
+    assert [doc for _, doc in found] == SERIAL
+    assert len({pid for pid, _ in found} - {parent}) == 1  # the one worker's items came back
     assert forks == [1]
     assert_no_child_left()
-
-
-def test_mmap_that_raises_oserror_gives_the_serial_result(force_workers, monkeypatch):
-    forks = force_workers(3)
-
-    def no_mmap(*args):
-        raise OSError(12, "Cannot allocate memory")
-
-    monkeypatch.setattr(mmap, "mmap", no_mmap)
-    assert_serial_result(workers.forked_map(square, SHARES, float))
-    assert forks == []
 
 
 def test_killed_worker_share_is_computed_in_the_parent(force_workers):
     forks = force_workers(3)
     parent = os.getpid()
 
-    def square_or_die(share):
+    def document_or_die(i):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return square(share)
+        return document(i)
 
-    assert_serial_result(workers.forked_map(square_or_die, SHARES, float))
+    assert workers.forked_items(document_or_die, 10, 3) == SERIAL
     assert forks == [1, 1]
     assert_no_child_left()
 
@@ -153,50 +154,38 @@ def test_worker_that_raises_never_returns_into_the_caller(force_workers):
     forks = force_workers(3)
     parent = os.getpid()
 
-    def square_or_raise(share):
+    def document_or_raise(i):
         if os.getpid() != parent:
             raise RuntimeError("not in the parent")
-        return square(share)
+        return document(i)
 
     try:
-        results = workers.forked_map(square_or_raise, SHARES, float)
+        results = workers.forked_items(document_or_raise, 10, 3)
     except RuntimeError:
         if os.getpid() != parent:  # the worker came back into the caller: end it
             os._exit(0)
         raise
     assert os.getpid() == parent
-    assert_serial_result(results)
+    assert results == SERIAL
     assert forks == [1, 1]
     assert_no_child_left()
 
 
-def test_worker_result_longer_than_its_share_is_computed_in_the_parent(force_workers):
-    force_workers(2)
-    parent = os.getpid()
-
-    def padded_in_workers(share):
-        return square(share) if os.getpid() == parent else np.zeros(len(share) + 1)
-
-    assert_serial_result(workers.forked_map(padded_in_workers, SHARES[:2], float), SHARES[:2])
-    assert_no_child_left()
-
-
 def _warn_on_last_item(monkeypatch):
-    """Make every forked_map call warn, once, while computing the share that
-    holds its last item: in a worker when that share is forked."""
-    real = workers.forked_map
+    """Make every forked_items call warn, once, while computing its last
+    item: in a worker when a worker takes it. The warning names the caller's
+    module, so it reads the same whatever the number of items."""
+    real = workers.forked_items
 
-    def warning_map(fn, shares, dtype):
-        last = max(share[-1] for share in shares if len(share))
+    def warning_items(fn, count, processes):
+        def fn_warns(i):
+            if i == count - 1:
+                warnings.warn(f"computing the last item in {fn.__module__}")
+            return fn(i)
 
-        def fn_warns(share):
-            if len(share) and share[-1] == last:
-                warnings.warn(f"computing item {last}")
-            return fn(share)
+        return real(fn_warns, count, processes)
 
-        return real(fn_warns, shares, dtype)
-
-    monkeypatch.setattr(workers, "forked_map", warning_map)
+    monkeypatch.setattr(workers, "forked_items", warning_items)
 
 
 def test_warning_in_a_worker_reaches_the_cli_stderr_once(tmp_path, force_workers, monkeypatch, capfd):
@@ -214,13 +203,40 @@ def test_warning_in_a_worker_reaches_the_cli_stderr_once(tmp_path, force_workers
         forks = force_workers(2)
         forked = main(argv), capfd.readouterr()
     assert forks == [1, 1]  # one for the read in blocks, one for ece_kde
-    assert serial[1].err == "warning: computing item 300\nwarning: computing item 255\n"
+    assert serial[1].err == (
+        "warning: computing the last item in calibkit.io_files\nwarning: computing the last item in calibkit.metrics\n"
+    )
     assert forked == serial
     assert_no_child_left()
 
 
-def document(i):
-    return {"item": i, "root": float(i) ** 0.5, "parts": [i, None, True, "x", -0.0]}
+def mixed(i):
+    """Results that JSON would not give back: a tuple, a dict with int keys
+    and a structured array."""
+    rows = np.array([(i, [i / 7, -0.0])], dtype=[("label", np.int64), ("z", float, (2,))])
+    return (i, float(i) / 3), {i: -0.0, i + 1: None}, rows
+
+
+def test_forked_items_gives_back_any_picklable_result_in_type_and_bytes(tmp_path, force_workers):
+    force_workers(2)
+    parent = os.getpid()
+    taken = tmp_path / "taken"
+
+    def item(i):
+        if os.getpid() == parent:
+            wait_for(taken.exists)  # the worker takes an item before this process goes on
+        else:
+            taken.touch()
+        return os.getpid(), mixed(i)
+
+    found = workers.forked_items(item, 10, 2)
+    assert any(pid != parent for pid, _ in found)
+    for i, (_, got) in enumerate(found):
+        pair, table, rows = got
+        assert type(got) is tuple and type(pair) is tuple and list(table) == [i, i + 1]
+        assert rows.dtype == mixed(i)[2].dtype
+        assert pickle.dumps(got, protocol=5) == pickle.dumps(mixed(i), protocol=5)
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
@@ -236,16 +252,6 @@ def test_forked_items_with_more_items_than_tickets(force_workers):
     force_workers(2)
     assert workers.forked_items(document, count, 2) == [document(i) for i in range(count)]
     assert_no_child_left()
-
-
-def wait_for(condition, seconds=10.0):
-    deadline = time.monotonic() + seconds
-    while not condition() and time.monotonic() < deadline:
-        time.sleep(0.002)
-
-
-def lines(path):
-    return path.read_text().split() if path.exists() else []
 
 
 def test_forked_items_hands_out_items_in_turn(tmp_path, force_workers):
