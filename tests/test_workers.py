@@ -247,6 +247,25 @@ def test_forked_items_gives_the_serial_result_and_reaps_every_child(force_worker
     assert_no_child_left()
 
 
+SHARES = [np.arange(k, 20, 3) for k in range(3)]
+
+
+def square(share):
+    return np.asarray(share, dtype=float) ** 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_forked_map_gives_the_serial_result_and_reaps_every_child(force_workers, cpus):
+    """The share-per-item use that forked_map served (as _grid_argmin's
+    round-robin shares): each share's array comes back with the serial bits,
+    and never more workers than shares are forked."""
+    forks = force_workers(cpus)
+    results = workers.forked_items(lambda i: square(SHARES[i]), len(SHARES), cpus)
+    assert [got.tobytes() for got in results] == [square(share).tobytes() for share in SHARES]
+    assert forks == [1] * (min(cpus, len(SHARES)) - 1)
+    assert_no_child_left()
+
+
 def test_forked_items_with_more_items_than_tickets(force_workers):
     count = 3 * workers.MAX_TICKETS + 7
     force_workers(2)
