@@ -95,21 +95,18 @@ class StepFunction:
         return cls(x=np.asarray(p["x"]), y=np.asarray(p["y"]))
 
 
-def _isotonic_step_function(p: np.ndarray, t: np.ndarray) -> StepFunction:
-    """Isotonic fit of 0/1 targets t against scores p, returned as a step function.
+def _isotonic_step_function(p: np.ndarray, hit: np.ndarray) -> StepFunction:
+    """Isotonic fit of 0/1 targets hit against scores p, returned as a step function.
 
-    Tied scores are pre-pooled (weighted mean target), which leaves the
-    least-squares solution unchanged and makes the knots strictly increasing.
-    Because the targets are 0 or 1, each pooled sum is an exact integer in
-    any order, so the sort need not be stable to give the same bits.
+    Tied scores are pooled first (one knot per distinct score, weighted by its
+    count), which leaves the least-squares solution unchanged and makes the
+    knots strictly increasing. Because the targets are 0 or 1, each pooled sum
+    is an exact integer in any order, so the result has the same bits however
+    the ties are visited.
     """
-    order = np.argsort(p)
-    ps, ts = p[order], t[order].astype(float)
-    ux, start = np.unique(ps, return_index=True)
-    counts = np.diff(np.append(start, ps.shape[0]))
-    sums = np.add.reduceat(ts, start)
-    fitted = pav(ux, sums / counts, counts.astype(float))
-    return StepFunction(x=ux, y=fitted)
+    x, inverse = np.unique(p, return_inverse=True)
+    counts = np.bincount(inverse)
+    return StepFunction(x=x, y=pav(x, np.bincount(inverse, weights=hit) / counts, counts.astype(float)))
 
 
 def _equal_mass_edges(conf: np.ndarray, num_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -220,9 +217,7 @@ class IrovaModel:
 
 
 def fit_irova_from_probs(probs: np.ndarray, labels: np.ndarray, num_classes: int) -> IrovaModel:
-    maps = tuple(
-        _isotonic_step_function(probs[:, c], (labels == c).astype(float)) for c in range(num_classes)
-    )
+    maps = tuple(_isotonic_step_function(probs[:, c], labels == c) for c in range(num_classes))
     return IrovaModel(maps=maps, num_classes=num_classes)
 
 
@@ -262,8 +257,8 @@ def fit_irm(dataset: Dataset) -> IrmModel:
     """Pooled isotonic fit over all (probability, one-vs-all target) pairs."""
     probs = softmax(dataset.logits)
     c = dataset.num_classes
-    targets = (dataset.labels[:, None] == np.arange(c)[None, :]).astype(float)
-    shared = _isotonic_step_function(probs.reshape(-1), targets.reshape(-1))
+    hits = dataset.labels[:, None] == np.arange(c)
+    shared = _isotonic_step_function(probs.reshape(-1), hits.reshape(-1))
     return IrmModel(shared_map=shared, num_classes=c)
 
 

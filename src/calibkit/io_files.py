@@ -195,15 +195,16 @@ def model_to_dict(model) -> dict:
 
 
 def _finite_numbers(doc) -> bool:
-    """No null or boolean, and no number that is NaN or beyond the doubles,
-    anywhere in doc, as in every model file that save_model writes. A loop, not a
-    recursion, so that any nesting json.load accepts is checked."""
+    """Every leaf of doc is a finite number: no string, null or boolean, and no
+    number that is NaN or beyond the doubles, as in every model file that
+    save_model writes. A loop, not a recursion, so that any nesting json.load
+    accepts is checked."""
     stack = [doc]
     while stack:
         node = stack.pop()
         if isinstance(node, (dict, list, tuple)):
             stack.extend(node.values() if isinstance(node, dict) else node)
-        elif isinstance(node, bool) or not (isinstance(node, str) or (node is not None and abs(node) <= sys.float_info.max)):
+        elif isinstance(node, bool) or not (isinstance(node, (int, float)) and abs(node) <= sys.float_info.max):
             return False
     return True
 
@@ -220,7 +221,11 @@ def model_from_dict(doc: dict, num_classes: int):
         raise DataFormatError(f"unsupported model version {version!r}")
     if type(model_classes) is not int:
         raise DataFormatError(f"malformed {kind} model: num_classes must be an integer, got {model_classes!r}")
-    if not _finite_numbers(doc.get("params", {})):
+    numbers = doc.get("params", {})
+    if kind == "pts" and isinstance(numbers, dict) and isinstance(numbers.get("config"), dict):
+        # the one text parameter, the training loss, is checked by PtsTrainConfig
+        numbers = {**numbers, "config": {k: v for k, v in numbers["config"].items() if k != "loss"}}
+    if not _finite_numbers(numbers):
         raise DataFormatError(f"malformed {kind} model: a parameter is null or not a finite double")
     try:
         model = CALIBRATORS[kind][0].from_params(doc["params"], model_classes)

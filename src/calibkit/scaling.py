@@ -359,13 +359,16 @@ class PtsModel:
     def from_params(cls, p: dict, num_classes: int) -> "PtsModel":
         config = {f.name: p["config"][f.name] for f in fields(PtsTrainConfig)}
         config["hidden"] = tuple(config["hidden"])
-        return cls(
+        model = cls(
             mlp=MlpParams(weights=p["weights"], biases=p["biases"]),
             input_width=int(p["input_width"]),
             num_classes=num_classes,
             t_min=p["t_min"],
             config=PtsTrainConfig(**config),
         )
+        if p["widths"] != model.mlp.widths:
+            raise ValueError(f"widths {p['widths']} do not match the layer shapes {model.mlp.widths}")
+        return model
 
 
 def pts_temperature_batch(logits: np.ndarray, model: PtsModel) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,19 @@ def test_isotonic_fits_on_tied_scores_match_stable_sort_bitwise():
         want = stable_isotonic_step_function(p, t)
         assert got.x.tobytes() == want.x.tobytes()
         assert got.y.tobytes() == want.y.tobytes()
+
+
+def test_irm_fit_peak_memory_is_a_few_score_matrices():
+    """The pooled fit over N x C scores holds no float copies of its 0/1 targets:
+    its traced peak stays within 8 arrays of N x C doubles."""
+    ds = generate(SynthConfig(num_samples=25_000, regime="heteroscedastic", seed=3))
+    tracemalloc.start()
+    try:
+        fit_irm(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * ds.logits.nbytes, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_irova_ts_composes():

@@ -548,6 +548,22 @@ def _set_param(name, value):
     return edit
 
 
+def _as_text(*path):
+    """Write every number under doc["params"][path[0]][path[1]]... as a JSON string."""
+
+    def edit(doc):
+        node = doc["params"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = json.loads(json.dumps(node[path[-1]]), parse_int=str, parse_float=str)
+
+    return edit
+
+
+def _pts_text_seed(doc):
+    doc["params"]["config"]["seed"] = "x"
+
+
 def _drop_a_map(doc):
     doc["params"]["maps"].pop()
 
@@ -583,11 +599,21 @@ def _reverse_edges(doc):
         ("pbmc", _reverse_edges, "bin edges must be strictly increasing"),
         ("pbmc", _set_param("temperature", -1.0), "temperature must be positive, got -1.0"),
         ("irm", _set_param("strictness", -1.0), "strictness must be positive, got -1.0"),
-        ("irm", _set_param("strictness", "x"), "'>' not supported"),
+        ("irm", _set_param("strictness", "x"), "a parameter is null or not a finite double"),
         ("ts", _set_param("temperature", float("nan")), "a parameter is null or not a finite double"),
         ("ets", _set_param("weights", [0.5, 0.5, None]), "a parameter is null or not a finite double"),
         ("pbmc", _set_param("temperature", 10**400), "a parameter is null or not a finite double"),
         ("histbin", _set_param("outputs", [{}] * 10), "float() argument must be a string or a real number, not 'dict'"),
+        ("ets", _as_text("weights"), "a parameter is null or not a finite double"),
+        ("histbin", _as_text("edges"), "a parameter is null or not a finite double"),
+        ("histbin", _as_text("outputs"), "a parameter is null or not a finite double"),
+        ("pbmc", _as_text("edges"), "a parameter is null or not a finite double"),
+        ("pbmc", _as_text("outputs"), "a parameter is null or not a finite double"),
+        ("irova", _as_text("maps", 0, "x"), "a parameter is null or not a finite double"),
+        ("pts", _as_text("biases"), "a parameter is null or not a finite double"),
+        ("pts", _as_text("input_width"), "a parameter is null or not a finite double"),
+        ("pts", _pts_text_seed, "a parameter is null or not a finite double"),
+        ("pts", _set_param("widths", [99, 1]), "widths [99, 1] do not match the layer shapes [10, 5, 5, 1]"),
     ],
     ids=[
         "pts_input_width",
@@ -610,6 +636,16 @@ def _reverse_edges(doc):
         "ets_null_weight",
         "pbmc_huge_temperature",
         "histbin_dict_output",
+        "ets_text_weights",
+        "histbin_text_edges",
+        "histbin_text_outputs",
+        "pbmc_text_edges",
+        "pbmc_text_outputs",
+        "irova_text_map_x",
+        "pts_text_biases",
+        "pts_text_input_width",
+        "pts_text_seed",
+        "pts_wrong_widths",
     ],
 )
 @pytest.mark.parametrize("command", ["apply", "eval"])
