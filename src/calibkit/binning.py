@@ -4,6 +4,7 @@ isotonic regression (IRM), the IROvA-TS composite, and scaling-binning (PBMC).""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,9 @@ from .scaling import TsModel, apply_temperature, fit_ts
 IRM_STRICTNESS = 1e-6
 
 
-def pav(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted least-squares nondecreasing fit of ys over sorted xs.
+def pav(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Weighted least-squares nondecreasing fit of ys over sorted xs; every
+    weight is 1 when weights is None.
 
     Classic pool-adjacent-violators: O(n) stack of blocks merged whenever a
     weighted block mean drops below its predecessor. The loop streams Python
@@ -32,14 +34,17 @@ def pav(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.shape[0] != n:
         raise ValueError("xs and ys must have equal length")
-    if np.any(np.diff(xs) < 0):
+    if np.any(xs[1:] < xs[:-1]):
         raise ValueError("xs must be sorted ascending")
-    w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
+    if weights is None:
+        w_iter = itertools.repeat(1.0)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if np.any(w <= 0):
+            raise ValueError("weights must be positive")
+        w_iter = iter(memoryview(np.ascontiguousarray(w)))
 
     y_iter = iter(memoryview(np.ascontiguousarray(ys)))
-    w_iter = iter(memoryview(np.ascontiguousarray(w)))
     # blocks below the top one
     means: list[float] = []
     sizes: list[int] = []
@@ -102,11 +107,24 @@ def _isotonic_step_function(p: np.ndarray, hit: np.ndarray) -> StepFunction:
     count), which leaves the least-squares solution unchanged and makes the
     knots strictly increasing. Because the targets are 0 or 1, each pooled sum
     is an exact integer in any order, so the result has the same bits however
-    the ties are visited.
+    the ties are visited. The sorted scores replace p here, so a caller that
+    keeps no reference to p frees it during the fit.
     """
-    x, inverse = np.unique(p, return_inverse=True)
-    counts = np.bincount(inverse)
-    return StepFunction(x=x, y=pav(x, np.bincount(inverse, weights=hit) / counts, counts.astype(float)))
+    order = np.argsort(p)
+    p, hit = p[order], hit[order]
+    del order
+    new = np.empty(p.shape, dtype=bool)
+    new[:1] = True
+    np.not_equal(p[1:], p[:-1], out=new[1:])
+    if new.all():  # no ties: every score is a knot of weight 1
+        return StepFunction(x=p, y=pav(p, hit.astype(float)))
+    starts = np.flatnonzero(new)
+    x = p[starts]
+    del p, new
+    counts = np.diff(starts, append=hit.shape[0])
+    y = np.add.reduceat(hit, starts, dtype=float)
+    y /= counts
+    return StepFunction(x=x, y=pav(x, y, counts.astype(float)))
 
 
 def _equal_mass_edges(conf: np.ndarray, num_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -255,10 +273,10 @@ class IrmModel:
 
 def fit_irm(dataset: Dataset) -> IrmModel:
     """Pooled isotonic fit over all (probability, one-vs-all target) pairs."""
-    probs = softmax(dataset.logits)
     c = dataset.num_classes
     hits = dataset.labels[:, None] == np.arange(c)
-    shared = _isotonic_step_function(probs.reshape(-1), hits.reshape(-1))
+    # no name holds the scores, so the fit frees them once it has sorted them
+    shared = _isotonic_step_function(softmax(dataset.logits).reshape(-1), hits.reshape(-1))
     return IrmModel(shared_map=shared, num_classes=c)
 
 

@@ -202,6 +202,7 @@ def cmd_apply(args) -> int:
     model = load_model(args.model, num_classes=test.num_classes)
     probs = model.apply_probs(test.logits)
     preds = Predictions.from_probs(probs, test.labels)
+    del probs, test  # the (N, C) arrays: free them before the text is built
     rows = map(",".join, zip(map(str, preds.predicted_class.tolist()), _fmt_column(preds.confidence)))
     write_text_atomic("\n".join(["predicted_class,confidence", *rows]) + "\n", args.out)
     return EXIT_OK

@@ -87,9 +87,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax input must be finite")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / ez.sum(axis=-1, keepdims=True)
+    # the ufuncs of z - max, exp and a division by the sum, in one buffer
+    out = z - z.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def sorted_topk_matrix(logits: np.ndarray, k: int) -> np.ndarray:

@@ -4,8 +4,10 @@ so canonical files round-trip byte-identically."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -97,29 +99,100 @@ def write_logits(dataset: Dataset, path: str | Path) -> None:
 
 
 def read_logits(path: str | Path) -> Dataset:
-    """Parse a logits CSV. Rows are split with str.splitlines(); the data rows
-    are parsed in C when that gives exactly what the line parser would, and by
-    the line parser, with its line-numbered messages, otherwise. A large file
-    is parsed in C in blocks of rows, one per CPU (see _parse_rows_fast)."""
+    """Parse a logits CSV. A file that _scan_lines accepts is streamed from
+    disk into np.loadtxt in blocks of rows (see _parse_rows_fast), so its text
+    is never held whole. Any other file, or one whose rows do not parse
+    exactly as the line parser parses them, is split with str.splitlines()
+    and parsed by the line parser, whose messages name the line."""
+    starts = _scan_lines(path)
+    if starts is not None:
+        header = [*_lines(path, 0, starts[1])][0] if starts.size > 1 else None
+        dataset = _parse_rows_fast((path, starts[1:]), _class_count(path, header))
+        if dataset is not None:
+            return dataset
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    # On ASCII text without \x1f, np.loadtxt accepts a subset of what int()
-    # and float() accept and gives the same values. It strips \x1f as
-    # whitespace where float() rejects it, and misreads non-ASCII digits.
-    c_parsable = text.isascii() and "\x1f" not in text
-    lines = text.splitlines()
-    del text  # the lines hold the same characters; keep one copy alive
-    if not lines:
+    return _parse_rows(path, lines, _class_count(path, lines[0] if lines else None))
+
+
+def _class_count(path: str | Path, header: str | None) -> int:
+    """The class count that a header line names; None stands for an empty file."""
+    if header is None:
         raise DataFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if header[0] != "label" or len(header) < 3 or header[1:] != [f"z{i}" for i in range(len(header) - 1)]:
+    names = header.split(",")
+    if names[0] != "label" or len(names) < 3 or names[1:] != [f"z{i}" for i in range(len(names) - 1)]:
         raise DataFormatError(f"{path}: line 1: expected header 'label,z0,z1,...'")
-    c = len(header) - 1
-    dataset = _parse_rows_fast(lines, c) if c_parsable else None
-    return dataset if dataset is not None else _parse_rows(path, lines, c)
+    return len(names) - 1
+
+
+# The bytes read from a logits CSV at a time
+SCAN_BYTES = 1 << 16
+# The ASCII characters that end a line for str.splitlines(); a \r\n ends at its \n
+_BREAK_CHARS = "\n\r\x0b\x0c\x1c\x1d\x1e"
+_BREAKS = np.isin(np.arange(256), [ord(ch) for ch in _BREAK_CHARS])
+
+
+def _chunks(fh, left: int):
+    """The next `left` bytes of fh (fewer if it ends first), in pieces of about
+    SCAN_BYTES. A piece ends with \r only where the bytes do, so no piece
+    splits a \r\n."""
+    while left > 0 and (chunk := fh.read(min(SCAN_BYTES, left))):
+        left -= len(chunk)
+        while chunk.endswith(b"\r") and left > 0 and (more := fh.read(1)):
+            chunk += more
+            left -= 1
+        yield chunk
+
+
+def _scan_lines(path: str | Path) -> np.ndarray | None:
+    """One binary pass over a logits CSV: the byte offset at which each of its
+    lines starts, then its size, for the lines of str.splitlines(). None
+    unless the file is ASCII without \x1f. On such text np.loadtxt accepts a
+    subset of what int() and float() accept and gives the same values; it
+    strips \x1f as whitespace where float() rejects it, and misreads
+    non-ASCII digits."""
+    if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe, say, can be opened and read only once
+        return None
+    starts = [np.zeros(1, dtype=np.int64)]  # of each line, and past a final break
+    size = 0
+    with open(path, "rb") as fh:
+        for chunk in _chunks(fh, os.fstat(fh.fileno()).st_size):
+            if not chunk.isascii() or b"\x1f" in chunk:
+                return None
+            b = np.frombuffer(chunk, np.uint8)
+            ends = b == ord("\n")
+            # a \r ends a line unless a \n follows it; a piece ends with \r only
+            # at the end of the file
+            lone_cr = b"\r" in chunk and (b.take(np.flatnonzero(b == ord("\r")) + 1, mode="clip") != ord("\n")).any()
+            if lone_cr or any(ch in chunk for ch in b"\x0b\x0c\x1c\x1d\x1e"):
+                ends = _BREAKS.take(b)
+                ends[:-1] &= (b[:-1] != ord("\r")) | (b[1:] != ord("\n"))
+            starts.append(np.flatnonzero(ends) + (size + 1))
+            size += len(chunk)
+    starts = np.concatenate(starts)
+    return starts if starts[-1] == size else np.append(starts, size)
+
+
+def _lines(path: str | Path, start: int, end: int):
+    """An iterator over the lines of the bytes [start, end) of an ASCII file,
+    as str.splitlines() gives them; start and end are offsets from
+    _scan_lines. It takes each line from a list, as iter(list) does."""
+
+    def pieces():
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            carry = ""  # the start of a line that the next piece ends
+            for chunk in _chunks(fh, end - start):
+                text = carry + chunk.decode("ascii")
+                lines = text.splitlines()
+                carry = "" if text[-1] in _BREAK_CHARS else lines.pop()
+                yield lines
+            yield [carry] if carry else []
+
+    return itertools.chain.from_iterable(pieces())
 
 
 # The fewest values (label cells included) worth a block of their own. Timed
@@ -132,19 +205,22 @@ def read_logits(path: str | Path) -> Dataset:
 VALUES_PER_WORKER = 200_000
 
 
-def _parse_rows_fast(lines: list[str], c: int) -> Dataset | None:
+def _parse_rows_fast(rows: tuple[str | Path, np.ndarray], c: int) -> Dataset | None:
     """The data rows parsed by np.loadtxt, or None when the line parser must
     run: a row that does not parse, no rows, a label out of range or a
-    non-finite logit (Dataset rejects the last three). A file of at least
-    2 * VALUES_PER_WORKER values is parsed in contiguous blocks of rows, the
-    items of workers.forked_items; every row goes through the same np.loadtxt
-    call either way, so the values are the same."""
+    non-finite logit (Dataset rejects the last three). rows is the file and
+    the start of each of its data lines, then its size, from _scan_lines. A
+    file of at least 2 * VALUES_PER_WORKER values is parsed in contiguous
+    blocks of lines, the items of workers.forked_items. Each block streams its
+    lines from the file through the same np.loadtxt call, so the values are
+    the same either way."""
+    path, starts = rows
     dtype = np.dtype([("label", np.int64), ("z", float, (c,))])
-    n = len(lines) - 1
+    n = starts.size - 1
     blocks = workers.worker_count(n, n * (c + 1), VALUES_PER_WORKER)
-    bounds = [1 + n * i // blocks for i in range(blocks + 1)]
+    bounds = [starts[n * i // blocks] for i in range(blocks + 1)]
     try:
-        parts = workers.forked_items(lambda i: _load_rows(lines[bounds[i] : bounds[i + 1]], dtype), blocks, blocks)
+        parts = workers.forked_items(lambda i: _load_rows(_lines(path, bounds[i], bounds[i + 1]), dtype), blocks, blocks)
         # contiguous columns straight from the parts: no whole-file record array
         labels = np.concatenate([p["label"] for p in parts])
         logits = np.concatenate([p["z"] for p in parts])
@@ -154,7 +230,7 @@ def _parse_rows_fast(lines: list[str], c: int) -> Dataset | None:
         return None
 
 
-def _load_rows(lines: list[str], dtype: np.dtype) -> np.ndarray:
+def _load_rows(lines, dtype: np.dtype) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)

@@ -169,14 +169,18 @@ def _ets_mse_objective(p1: np.ndarray, p2: np.ndarray, labels: np.ndarray):
     """MSE to one-hot labels is quadratic in the mixture weights; precompute
     the 3x3 quadratic form so grid evaluation is O(1) per point."""
     n, c = p1.shape
-    comps = [p1, p2, np.full_like(p1, 1.0 / c)]
+    # the uniform component stays the scalar 1/c: a product with it has the
+    # bits of one with an (n, c) array of 1/c, and each product is summed as an
+    # (n, c) array
+    comps = [p1, p2, 1.0 / c]
     a = np.empty((3, 3))
     b = np.empty(3)
-    onehot_dot = [comps[i][np.arange(n), labels].mean() for i in range(3)]
+    onehot_dot = [p1[np.arange(n), labels].mean(), p2[np.arange(n), labels].mean(), np.full(n, 1.0 / c).mean()]
+    total = lambda prod: (prod if np.ndim(prod) else np.full(p1.shape, prod)).sum()
     for i in range(3):
         b[i] = onehot_dot[i] / c
         for j in range(3):
-            a[i, j] = (comps[i] * comps[j]).sum() / (n * c)
+            a[i, j] = total(comps[i] * comps[j]) / (n * c)
 
     def value(w: np.ndarray) -> np.ndarray:
         w = np.atleast_2d(w)
@@ -296,6 +300,11 @@ def softplus_inverse(y: float) -> float:
     return y + math.log1p(-math.exp(-y))
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer, not a bool and not an integral float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PtsTrainConfig:
     learning_rate: float = 1e-4
@@ -308,6 +317,10 @@ class PtsTrainConfig:
     topk: int = 10
 
     def __post_init__(self):
+        counts = {name: getattr(self, name) for name in ("batch_size", "steps", "num_bins", "topk", "seed")}
+        for name, value in [*counts.items(), *(("a hidden width", h) for h in self.hidden)]:
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.learning_rate, self.batch_size, self.steps, self.num_bins, self.topk) <= 0:
             raise ValueError("all training-config values must be positive")
         if self.loss not in LOSSES:
@@ -359,9 +372,13 @@ class PtsModel:
     def from_params(cls, p: dict, num_classes: int) -> "PtsModel":
         config = {f.name: p["config"][f.name] for f in fields(PtsTrainConfig)}
         config["hidden"] = tuple(config["hidden"])
+        if not _is_int(p["input_width"]):
+            raise ValueError(f"input_width must be an integer, got {p['input_width']!r}")
+        if not all(map(_is_int, p["widths"])):
+            raise ValueError(f"widths must be integers, got {p['widths']!r}")
         model = cls(
             mlp=MlpParams(weights=p["weights"], biases=p["biases"]),
-            input_width=int(p["input_width"]),
+            input_width=p["input_width"],
             num_classes=num_classes,
             t_min=p["t_min"],
             config=PtsTrainConfig(**config),

@@ -164,6 +164,16 @@ def test_pav_validation():
     with pytest.raises(ValueError):
         pav(np.arange(2.0), np.zeros(2), [1.0, 0.0])
     assert pav(np.empty(0), np.empty(0), np.empty(0)).size == 0
+    assert pav(np.empty(0), np.empty(0)).size == 0
+    with pytest.raises(ValueError):
+        pav(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+def test_pav_without_weights_is_unit_weights_bitwise():
+    rng = np.random.default_rng(41)
+    for ys in (rng.normal(size=300), (rng.random(2000) < 0.3).astype(float), np.zeros(5)):
+        xs = np.arange(ys.size, dtype=float)
+        assert pav(xs, ys).tobytes() == pav(xs, ys, np.ones(ys.size)).tobytes()
 
 
 def test_step_function_lookup():
@@ -265,8 +275,11 @@ def test_isotonic_fits_on_tied_scores_match_stable_sort_bitwise():
 
 
 def test_irm_fit_peak_memory_is_a_few_score_matrices():
-    """The pooled fit over N x C scores holds no float copies of its 0/1 targets:
-    its traced peak stays within 8 arrays of N x C doubles."""
+    """The pooled fit over N x C scores holds no float copies of its 0/1 targets
+    and frees the unsorted scores once it has sorted them: its traced peak,
+    the two knot arrays of the model included, stays within 4 arrays of N x C
+    doubles. The forked items of compare each peak at about that much, so the
+    process's peak does not depend on which of them it computes."""
     ds = generate(SynthConfig(num_samples=25_000, regime="heteroscedastic", seed=3))
     tracemalloc.start()
     try:
@@ -274,7 +287,7 @@ def test_irm_fit_peak_memory_is_a_few_score_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * ds.logits.nbytes, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak <= 4 * ds.logits.nbytes, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_irova_ts_composes():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,22 @@ def test_softmax_preserves_argmax_randomized():
     p = softmax(z)
     assert np.array_equal(np.argmax(p, axis=1), np.argmax(z, axis=1))
     assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-9
+
+
+def test_softmax_peak_memory_is_its_output():
+    """softmax computes in its output buffer, with the bits of the textbook
+    z - max, exp and division by the sum: its traced peak stays within 1.5
+    times one (N, C) array."""
+    z = np.random.default_rng(1).normal(scale=5.0, size=(20_000, 10))
+    tracemalloc.start()
+    try:
+        p = softmax(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ez = np.exp(z - z.max(axis=1, keepdims=True))
+    assert p.tobytes() == (ez / ez.sum(axis=1, keepdims=True)).tobytes()
+    assert peak <= 1.5 * z.nbytes, f"traced peak {peak / z.nbytes:.2f} arrays"
 
 
 def top_label(probs):

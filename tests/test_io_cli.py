@@ -564,6 +564,13 @@ def _pts_text_seed(doc):
     doc["params"]["config"]["seed"] = "x"
 
 
+def _set_config(name, value):
+    def edit(doc):
+        doc["params"]["config"][name] = value
+
+    return edit
+
+
 def _drop_a_map(doc):
     doc["params"]["maps"].pop()
 
@@ -614,6 +621,12 @@ def _reverse_edges(doc):
         ("pts", _as_text("input_width"), "a parameter is null or not a finite double"),
         ("pts", _pts_text_seed, "a parameter is null or not a finite double"),
         ("pts", _set_param("widths", [99, 1]), "widths [99, 1] do not match the layer shapes [10, 5, 5, 1]"),
+        ("pts", _set_param("input_width", 10.5), "input_width must be an integer, got 10.5"),
+        ("pts", _set_config("seed", 17.5), "seed must be an integer, got 17.5"),
+        ("pts", _set_config("hidden", [5.5, 5]), "a hidden width must be an integer, got 5.5"),
+        ("pts", _set_param("widths", [10.0, 5, 5, 1]), "widths must be integers, got [10.0, 5, 5, 1]"),
+        ("pts", _set_config("steps", 20.0), "steps must be an integer, got 20.0"),
+        ("pts", _set_config("batch_size", 1000.0), "batch_size must be an integer, got 1000.0"),
     ],
     ids=[
         "pts_input_width",
@@ -646,6 +659,12 @@ def _reverse_edges(doc):
         "pts_text_input_width",
         "pts_text_seed",
         "pts_wrong_widths",
+        "pts_fractional_input_width",
+        "pts_fractional_seed",
+        "pts_fractional_hidden",
+        "pts_float_widths",
+        "pts_float_steps",
+        "pts_float_batch_size",
     ],
 )
 @pytest.mark.parametrize("command", ["apply", "eval"])

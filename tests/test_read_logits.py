@@ -8,6 +8,7 @@ always reaped and never forked beside another thread."""
 import os
 import signal
 import threading
+import tracemalloc
 import warnings
 
 import pytest
@@ -69,8 +70,29 @@ def _header(c):
     return "label," + ",".join(f"z{i}" for i in range(c))
 
 
+def _crlf_across_reads():
+    """A CRLF file with a \r\n across the end of the scan's first read, which
+    starts at byte 0, and one across the end of the first read of the rows,
+    which starts after the header."""
+    header, last = "label,z0,z1\r\n", "1,-0.5,3\r\n"
+    end = io_files.SCAN_BYTES
+    first = "0,0.5" + "0" * (end - len(header) - len("0,0.5,2\r")) + ",2\r\n"
+    second = "1,0.5" + "0" * (len(header) - len("1,0.5,2\r\n")) + ",2\r\n"
+    text = header + first + second + last
+    assert text[end - 1 : end + 1] == "\r\n" == text[len(header) + end - 1 : len(header) + end + 1]
+    return text
+
+
 FIXED_CASES = {
     "crlf": "label,z0,z1\r\n0,1.5,2.5\r\n1,-0.5,3\r\n",
+    "lone_cr": "label,z0,z1\r0,1.5,2.5\r1,-0.5,3\r",
+    "lf_and_crlf": "label,z0,z1\n0,1.5,2.5\r\n1,-0.5,3\n0,2,1\r\n1,0,0",
+    "header_only_crlf": "label,z0,z1\r\n",
+    "crlf_across_reads": _crlf_across_reads(),
+    "form_feed_breaks_a_row": "label,z0,z1\n0,1.5,2.5\x0c1,0.5,1\n",
+    "file_separator_breaks_a_row": "label,z0,z1\n0,1.5,2.5\x1c1,0.5,1\n",
+    "group_separator_breaks_a_row": "label,z0,z1\n0,1.5,2.5\x1d1,0.5,1\n",
+    "record_separator_breaks_a_row": "label,z0,z1\n0,1.5,2.5\x1e1,0.5,1\n",
     "vertical_tab_breaks_a_row": "label,z0,z1\n0,1.5,2.5\x0b1,0.5,1\n",
     "vertical_tab_after_a_value": "label,z0,z1\n0,1.5\x0b,2.5\n",
     "nel_breaks_a_row": "label,z0,z1\n0,1.5,2.5\x851,0.5,1\n",
@@ -337,3 +359,52 @@ def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch):
     assert forks == []
     assert read_logits(path).logits.tobytes() == ds.logits.tobytes()
     assert forks == [1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_read_peak_memory_is_a_few_parsed_arrays(tmp_path, monkeypatch, cpus):
+    """The file is streamed into the parser, never held whole as text or as a
+    list of lines: the traced peak of a read, in one block or in two, stays
+    within 3 times the N x (C + 1) doubles that it returns."""
+    ds = generate(SynthConfig(num_samples=20_000, regime="heteroscedastic", seed=8))
+    path = tmp_path / "logits.csv"
+    write_logits(ds, path)
+    forks = force_blocks(monkeypatch, cpus=cpus)
+    tracemalloc.start()
+    try:
+        back = read_logits(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.logits.tobytes() == ds.logits.tobytes()
+    assert len(forks) == cpus - 1
+    assert peak <= 3 * ds.labels.nbytes * (ds.num_classes + 1), f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_a_pipe_is_read_once_by_the_line_parser(tmp_path, monkeypatch):
+    """A file that cannot be read twice, such as a named pipe, is not scanned:
+    it is opened once, read whole as text and parsed by the line parser."""
+    ds = generate(SynthConfig(num_samples=50, regime="heteroscedastic", seed=9))
+    write_logits(ds, tmp_path / "logits.csv")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    opened = []
+
+    def logged_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io_files, "open", logged_open, raising=False)
+    outcome = []
+    reader = threading.Thread(target=lambda: outcome.append(_outcome(fifo)))
+    reader.start()
+    fifo.write_bytes((tmp_path / "logits.csv").read_bytes())
+    reader.join(timeout=30)
+    while reader.is_alive():  # blocked in a second open of the pipe: let it read an empty one
+        with open(fifo, "wb"):
+            pass
+        reader.join(timeout=5)
+    assert opened == [fifo]
+    assert not isinstance(outcome[0], str), outcome[0]
+    assert outcome[0][0].tobytes() == ds.labels.tobytes()
+    assert outcome[0][1].tobytes() == ds.logits.tobytes()

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,39 @@ def test_fit_ets_improves_over_uncalibrated():
         before = ece(Predictions.from_probs(softmax(test.logits), test.labels), 10)
         after = ece(Predictions.from_probs(model.apply_probs(test.logits), test.labels), 10)
         assert after < before / 3
+
+
+def test_ets_mse_objective_matches_an_array_of_uniform_probabilities_bitwise():
+    """The uniform component as the scalar 1/c gives the quadratic form that
+    an (n, c) array of 1/c gives, bit for bit."""
+
+    def reference(p1, p2, labels):
+        n, c = p1.shape
+        comps = [p1, p2, np.full_like(p1, 1.0 / c)]
+        a = np.array([[(comps[i] * comps[j]).sum() / (n * c) for j in range(3)] for i in range(3)])
+        b = np.array([comps[i][np.arange(n), labels].mean() / c for i in range(3)])
+        return lambda w: np.einsum("gi,ij,gj->g", w, a, w) - 2.0 * w @ b
+
+    grid = _simplex_grid(0.01)
+    for n, c, seed in ((7, 3, 1), (1000, 10, 2), (4099, 7, 3)):
+        ds = generate(SynthConfig(num_samples=n, num_classes=c, regime="heteroscedastic", seed=seed))
+        p1, p2 = softmax(ds.logits / 1.7), softmax(ds.logits)
+        got = _ets_mse_objective(p1, p2, ds.labels)(grid)
+        assert got.tobytes() == reference(p1, p2, ds.labels)(grid).tobytes()
+
+
+def test_fit_ets_mse_peak_memory_is_three_score_matrices():
+    """The MSE fit holds its two softmax outputs and one product at a time,
+    with no (N, C) array of the uniform component."""
+    ds = generate(SynthConfig(num_samples=25_000, regime="heteroscedastic", seed=3))
+    ts = fit_ts(ds)
+    tracemalloc.start()
+    try:
+        fit_ets(ds, ts, loss="mse")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * ds.logits.nbytes, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_fit_ets_rejects_unknown_loss():
