@@ -268,7 +268,7 @@ class IrmModel:
 
     @classmethod
     def from_params(cls, p: dict, num_classes: int) -> "IrmModel":
-        return cls(shared_map=StepFunction.from_params(p["map"]), strictness=p["strictness"], num_classes=num_classes)
+        return cls(shared_map=StepFunction.from_params(p["map"]), strictness=float(p["strictness"]), num_classes=num_classes)
 
 
 def fit_irm(dataset: Dataset) -> IrmModel:
@@ -339,7 +339,7 @@ class PbmcModel:
 
     @classmethod
     def from_params(cls, p: dict, num_classes: int) -> "PbmcModel":
-        return cls(p["temperature"], np.asarray(p["edges"], float), np.asarray(p["outputs"], float), num_classes)
+        return cls(float(p["temperature"]), np.asarray(p["edges"], float), np.asarray(p["outputs"], float), num_classes)
 
 
 def fit_pbmc(dataset: Dataset, num_bins: int = 10, seed: int = 17) -> PbmcModel:

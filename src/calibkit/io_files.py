@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
+import reprlib
 import stat
-import sys
 import warnings
 from pathlib import Path
 from typing import Any
@@ -270,25 +271,47 @@ def model_to_dict(model) -> dict:
     return {"kind": model.kind, "version": SCHEMA_VERSION, "num_classes": model.num_classes, "params": model.to_params()}
 
 
-def _finite_numbers(doc) -> bool:
-    """Every leaf of doc is a finite number: no string, null or boolean, and no
-    number that is NaN or beyond the doubles, as in every model file that
-    save_model writes. A loop, not a recursion, so that any nesting json.load
-    accepts is checked."""
-    stack = [doc]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (dict, list, tuple)):
-            stack.extend(node.values() if isinstance(node, dict) else node)
-        elif isinstance(node, bool) or not (isinstance(node, (int, float)) and abs(node) <= sys.float_info.max):
-            return False
-    return True
+def _first_difference(saved, got) -> str | None:
+    """Where got, a parsed model document, first differs from saved, the
+    document of the model built from it, and how; None if nowhere. The
+    recursion follows saved, so its depth is the model's. A tuple is a list."""
+    if isinstance(saved, dict) and isinstance(got, dict):
+        if got.keys() != saved.keys():
+            key = next(k for k in [*got, *saved] if k not in saved or k not in got)
+            return f".{key} is an unknown key" if key in got else f".{key} is missing"
+        entries = saved.items()
+    elif isinstance(saved, (list, tuple)) and isinstance(got, (list, tuple)) and len(got) == len(saved):
+        if _same_leaves(saved, got):
+            return None
+        entries = enumerate(saved)
+    elif _same_leaves([saved], [got]):
+        return None
+    elif type(got) in (int, float) and not _same_leaves([got], [got]):  # NaN, infinite or beyond the doubles
+        return " is not a finite double"
+    else:
+        return f" is {reprlib.repr(got)} where the model saves {reprlib.repr(saved)}"
+    for key, value in entries:  # the path is built only back up from a difference
+        if found := _first_difference(value, got[key]):
+            return (f"[{key}]" if isinstance(key, int) else f".{key}") + found
+    return None
+
+
+def _same_leaves(saved: list, got: list) -> bool:
+    """Whether got holds saved's entries, numbers or strings of one type, with
+    that type, each number a finite double; at C speed. Else False."""
+    types = {*map(type, saved)}
+    try:
+        return len(types) == 1 and {*map(type, got)} == types and (str in types or all(map(math.isfinite, got))) and got == saved
+    except (TypeError, OverflowError):  # lists, not numbers; an integer beyond the doubles
+        return False
 
 
 def model_from_dict(doc: dict, num_classes: int):
-    """Rebuild a model from its file document. A missing field, a wrong type
-    (version and num_classes are JSON integers: not 10.0, "10" or true), a value
-    the model rejects or a model for other than num_classes classes is a DataFormatError."""
+    """Rebuild a model from its file document, which must be the document the
+    model saves: the same keys and list lengths, and at each leaf the same type
+    (1 is not 1.0 or true) and value, every number a finite double. Any other
+    document, one of another version and a model for other than num_classes
+    classes raise DataFormatError."""
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if not isinstance(kind, str) or kind not in CALIBRATORS:
         raise DataFormatError(f"unknown model kind {kind!r}")
@@ -297,16 +320,12 @@ def model_from_dict(doc: dict, num_classes: int):
         raise DataFormatError(f"unsupported model version {version!r}")
     if type(model_classes) is not int:
         raise DataFormatError(f"malformed {kind} model: num_classes must be an integer, got {model_classes!r}")
-    numbers = doc.get("params", {})
-    if kind == "pts" and isinstance(numbers, dict) and isinstance(numbers.get("config"), dict):
-        # the one text parameter, the training loss, is checked by PtsTrainConfig
-        numbers = {**numbers, "config": {k: v for k, v in numbers["config"].items() if k != "loss"}}
-    if not _finite_numbers(numbers):
-        raise DataFormatError(f"malformed {kind} model: a parameter is null or not a finite double")
     try:
         model = CALIBRATORS[kind][0].from_params(doc["params"], model_classes)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
         raise DataFormatError(f"malformed {kind} model: {exc}") from exc
+    if found := _first_difference(model_to_dict(model), doc):
+        raise DataFormatError(f"malformed {kind} model: {found[1:]}")  # found starts with "." and a key
     if model_classes != num_classes:
         raise DataFormatError(f"{kind} model is for {model_classes} classes, the data has {num_classes}")
     return model

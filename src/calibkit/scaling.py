@@ -86,7 +86,7 @@ class TsModel:
 
     @classmethod
     def from_params(cls, p: dict, num_classes: int) -> "TsModel":
-        return cls(temperature=p["temperature"], num_classes=num_classes)
+        return cls(temperature=float(p["temperature"]), num_classes=num_classes)
 
     def apply_probs(self, logits: np.ndarray) -> np.ndarray:
         return apply_temperature(logits, self.temperature)
@@ -153,7 +153,7 @@ class EtsModel:
 
     @classmethod
     def from_params(cls, p: dict, num_classes: int) -> "EtsModel":
-        return cls(temperature=p["temperature"], weights=tuple(p["weights"]), num_classes=num_classes)
+        return cls(temperature=float(p["temperature"]), weights=tuple(map(float, p["weights"])), num_classes=num_classes)
 
 
 def _simplex_grid(step: float) -> np.ndarray:
@@ -300,11 +300,6 @@ def softplus_inverse(y: float) -> float:
     return y + math.log1p(-math.exp(-y))
 
 
-def _is_int(value) -> bool:
-    """A Python or numpy integer, not a bool and not an integral float."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class PtsTrainConfig:
     learning_rate: float = 1e-4
@@ -317,10 +312,6 @@ class PtsTrainConfig:
     topk: int = 10
 
     def __post_init__(self):
-        counts = {name: getattr(self, name) for name in ("batch_size", "steps", "num_bins", "topk", "seed")}
-        for name, value in [*counts.items(), *(("a hidden width", h) for h in self.hidden)]:
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.learning_rate, self.batch_size, self.steps, self.num_bins, self.topk) <= 0:
             raise ValueError("all training-config values must be positive")
         if self.loss not in LOSSES:
@@ -370,22 +361,10 @@ class PtsModel:
 
     @classmethod
     def from_params(cls, p: dict, num_classes: int) -> "PtsModel":
-        config = {f.name: p["config"][f.name] for f in fields(PtsTrainConfig)}
-        config["hidden"] = tuple(config["hidden"])
-        if not _is_int(p["input_width"]):
-            raise ValueError(f"input_width must be an integer, got {p['input_width']!r}")
-        if not all(map(_is_int, p["widths"])):
-            raise ValueError(f"widths must be integers, got {p['widths']!r}")
-        model = cls(
-            mlp=MlpParams(weights=p["weights"], biases=p["biases"]),
-            input_width=p["input_width"],
-            num_classes=num_classes,
-            t_min=p["t_min"],
-            config=PtsTrainConfig(**config),
-        )
-        if p["widths"] != model.mlp.widths:
-            raise ValueError(f"widths {p['widths']} do not match the layer shapes {model.mlp.widths}")
-        return model
+        config = {f.name: type(f.default)(p["config"][f.name]) for f in fields(PtsTrainConfig)}
+        config["hidden"] = tuple(map(int, config["hidden"]))
+        mlp = MlpParams(weights=p["weights"], biases=p["biases"])
+        return cls(mlp, int(p["input_width"]), num_classes, float(p["t_min"]), PtsTrainConfig(**config))
 
 
 def pts_temperature_batch(logits: np.ndarray, model: PtsModel) -> np.ndarray:

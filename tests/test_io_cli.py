@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import json
+import operator
 import os
 import stat
 import warnings
@@ -206,7 +208,7 @@ def test_load_model_rejects_malformed(tmp_path):
         with pytest.raises(DataFormatError, match="version"):
             load_model(path, 10)
     path.write_text(ts_doc.replace("1.5", "true") % (1, 10))
-    with pytest.raises(DataFormatError, match="null or not a finite double"):
+    with pytest.raises(DataFormatError, match="malformed ts model: params.temperature is True where the model saves 1.0$"):
         load_model(path, 10)
     path.write_text(ts_doc % (1, "1" * 5000))  # beyond int()'s digit limit
     with pytest.raises(DataFormatError, match="invalid JSON"):
@@ -225,6 +227,65 @@ def test_load_model_rejects_malformed(tmp_path):
             path.write_text('{"kind":"%s","version":1,"num_classes":10,"params":%s}' % (kind, params))
             with pytest.raises(DataFormatError, match=f"malformed {kind} model: .*{message}"):
                 load_model(path, 10)
+
+
+def _leaf_paths(node, path=()):
+    """The path of each leaf under node, through the first two entries of each list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node[:2]):
+            yield from _leaf_paths(value, (*path, i))
+    else:
+        yield path
+
+
+def _leaf_edits(value):
+    """What a leaf is changed to: text, true, null, NaN, inf, 10**400, and an
+    integer to the equal real or back."""
+    edits = [json.dumps(value), True, None, float("nan"), float("inf"), 10**400]
+    if type(value) is int:
+        edits.append(float(value))
+    elif type(value) is float and value.is_integer():
+        edits.append(int(value))
+    return edits
+
+
+@pytest.fixture(scope="module")
+def saved_model_texts():
+    return {model.kind: canonical_json(model_to_dict(model)) for model in all_models(small_dataset())}
+
+
+def _set_leaf(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(experiments.CALIBRATORS))
+def test_a_model_file_with_one_leaf_edited_or_an_unknown_key_is_rejected(tmp_path, saved_model_texts, kind):
+    text = saved_model_texts[kind]
+    params = json.loads(text)["params"]
+    edits = [
+        (("params", *path), value)
+        for path in _leaf_paths(params)
+        for value in _leaf_edits(functools.reduce(operator.getitem, path, params))
+    ]
+    wheres = [(), ("params",)] + ([("params", "config")] if kind == "pts" else [])
+    edits += [((*where, "extra"), 1.0) for where in wheres]
+    model = tmp_path / "m.json"
+    loaded = []
+    for path, value in edits:
+        model.write_text(json.dumps(_set_leaf(json.loads(text), path, value)))
+        try:
+            load_model(model, 10)
+            loaded.append(f"{list(path)} = {value!r}")
+        except DataFormatError:
+            pass
+    assert len(edits) >= 8 and loaded == []
 
 
 def write_sets(tmp_path, n=400):
@@ -560,6 +621,14 @@ def _as_text(*path):
     return edit
 
 
+def _text_message(*path):
+    """The message for the number at params.path written as text: a template
+    that str.format(doc=...) fills in from the document before the edit."""
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    value = "{doc[params]" + "".join(f"[{k}]" for k in path) + "!r}"
+    return f"params{where} is '{value}' where the model saves {value}"
+
+
 def _pts_text_seed(doc):
     doc["params"]["config"]["seed"] = "x"
 
@@ -606,27 +675,32 @@ def _reverse_edges(doc):
         ("pbmc", _reverse_edges, "bin edges must be strictly increasing"),
         ("pbmc", _set_param("temperature", -1.0), "temperature must be positive, got -1.0"),
         ("irm", _set_param("strictness", -1.0), "strictness must be positive, got -1.0"),
-        ("irm", _set_param("strictness", "x"), "a parameter is null or not a finite double"),
-        ("ts", _set_param("temperature", float("nan")), "a parameter is null or not a finite double"),
-        ("ets", _set_param("weights", [0.5, 0.5, None]), "a parameter is null or not a finite double"),
-        ("pbmc", _set_param("temperature", 10**400), "a parameter is null or not a finite double"),
+        ("irm", _set_param("strictness", "x"), "could not convert string to float: 'x'"),
+        ("ts", _set_param("temperature", float("nan")), "params.temperature is not a finite double"),
+        ("ets", _set_param("weights", [0.5, 0.5, None]), "float() argument must be a string or a real number, not 'NoneType'"),
+        ("pbmc", _set_param("temperature", 10**400), "int too large to convert to float"),
         ("histbin", _set_param("outputs", [{}] * 10), "float() argument must be a string or a real number, not 'dict'"),
-        ("ets", _as_text("weights"), "a parameter is null or not a finite double"),
-        ("histbin", _as_text("edges"), "a parameter is null or not a finite double"),
-        ("histbin", _as_text("outputs"), "a parameter is null or not a finite double"),
-        ("pbmc", _as_text("edges"), "a parameter is null or not a finite double"),
-        ("pbmc", _as_text("outputs"), "a parameter is null or not a finite double"),
-        ("irova", _as_text("maps", 0, "x"), "a parameter is null or not a finite double"),
-        ("pts", _as_text("biases"), "a parameter is null or not a finite double"),
-        ("pts", _as_text("input_width"), "a parameter is null or not a finite double"),
-        ("pts", _pts_text_seed, "a parameter is null or not a finite double"),
-        ("pts", _set_param("widths", [99, 1]), "widths [99, 1] do not match the layer shapes [10, 5, 5, 1]"),
-        ("pts", _set_param("input_width", 10.5), "input_width must be an integer, got 10.5"),
-        ("pts", _set_config("seed", 17.5), "seed must be an integer, got 17.5"),
-        ("pts", _set_config("hidden", [5.5, 5]), "a hidden width must be an integer, got 5.5"),
-        ("pts", _set_param("widths", [10.0, 5, 5, 1]), "widths must be integers, got [10.0, 5, 5, 1]"),
-        ("pts", _set_config("steps", 20.0), "steps must be an integer, got 20.0"),
-        ("pts", _set_config("batch_size", 1000.0), "batch_size must be an integer, got 1000.0"),
+        ("ets", _as_text("weights"), _text_message("weights", 0)),
+        ("histbin", _as_text("edges"), _text_message("edges", 0)),
+        ("histbin", _as_text("outputs"), _text_message("outputs", 0)),
+        ("pbmc", _as_text("edges"), _text_message("edges", 0)),
+        ("pbmc", _as_text("outputs"), _text_message("outputs", 0)),
+        ("irova", _as_text("maps", 0, "x"), _text_message("maps", 0, "x", 0)),
+        ("pts", _as_text("biases"), _text_message("biases", 0, 0)),
+        ("pts", _as_text("input_width"), "params.input_width is '10' where the model saves 10"),
+        ("pts", _pts_text_seed, "invalid literal for int() with base 10: 'x'"),
+        ("pts", _set_param("widths", [99, 1]), "params.widths is [99, 1] where the model saves [10, 5, 5, 1]"),
+        ("pts", _set_param("input_width", 10.5), "params.input_width is 10.5 where the model saves 10"),
+        ("pts", _set_config("seed", 17.5), "params.config.seed is 17.5 where the model saves 17"),
+        ("pts", _set_config("hidden", [5.5, 5]), "params.config.hidden[0] is 5.5 where the model saves 5"),
+        ("pts", _set_param("widths", [10.0, 5, 5, 1]), "params.widths[0] is 10.0 where the model saves 10"),
+        ("pts", _set_config("steps", 20.0), "params.config.steps is 20.0 where the model saves 20"),
+        ("pts", _set_config("batch_size", 1000.0), "params.config.batch_size is 1000.0 where the model saves 1000"),
+        ("ts", _set_param("extra", 1.0), "params.extra is an unknown key"),
+        ("pts", _set_config("extra", 1), "params.config.extra is an unknown key"),
+        ("ts", _set_param("temperature", 2), "params.temperature is 2 where the model saves 2.0"),
+        ("pts", _set_param("input_width", 10.0), "params.input_width is 10.0 where the model saves 10"),
+        ("pts", _set_config("seed", 10**400), "params.config.seed is not a finite double"),
     ],
     ids=[
         "pts_input_width",
@@ -665,6 +739,11 @@ def _reverse_edges(doc):
         "pts_float_widths",
         "pts_float_steps",
         "pts_float_batch_size",
+        "ts_unknown_param",
+        "pts_unknown_config_key",
+        "ts_integer_temperature",
+        "pts_float_input_width",
+        "pts_huge_seed",
     ],
 )
 @pytest.mark.parametrize("command", ["apply", "eval"])
@@ -673,10 +752,11 @@ def test_cli_model_with_inconsistent_params_exit_2(tmp_path, capsys, kind, edit,
     model = tmp_path / "m.json"
     assert main(["fit", "--method", kind, "--val", val, "--out", str(model), "--steps", "5"]) == 0
     doc = json.loads(model.read_text())
+    message = message.format(doc=doc)
     edit(doc)
     model.write_text(json.dumps(doc))
     assert main([command, "--model", str(model), "--test", test, "--out", str(tmp_path / "out")]) == 2
-    assert one_error_line(capsys, f"data error: {model}: malformed {kind} model: {message}")
+    assert one_error_line(capsys, f"data error: {model}: malformed {kind} model: {message}\n")
 
 
 @pytest.mark.parametrize("depth", [900, 100_000])
