@@ -4,7 +4,7 @@ so canonical files round-trip byte-identically."""
 
 from __future__ import annotations
 
-import itertools
+import io
 import json
 import math
 import os
@@ -107,7 +107,8 @@ def read_logits(path: str | Path) -> Dataset:
     and parsed by the line parser, whose messages name the line."""
     starts = _scan_lines(path)
     if starts is not None:
-        header = [*_lines(path, 0, starts[1])][0] if starts.size > 1 else None
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("ascii").splitlines()[0] if starts.size > 1 else None
         dataset = _parse_rows_fast((path, starts[1:]), _class_count(path, header))
         if dataset is not None:
             return dataset
@@ -131,69 +132,35 @@ def _class_count(path: str | Path, header: str | None) -> int:
 
 # The bytes read from a logits CSV at a time
 SCAN_BYTES = 1 << 16
-# The ASCII characters that end a line for str.splitlines(); a \r\n ends at its \n
-_BREAK_CHARS = "\n\r\x0b\x0c\x1c\x1d\x1e"
-_BREAKS = np.isin(np.arange(256), [ord(ch) for ch in _BREAK_CHARS])
-
-
-def _chunks(fh, left: int):
-    """The next `left` bytes of fh (fewer if it ends first), in pieces of about
-    SCAN_BYTES. A piece ends with \r only where the bytes do, so no piece
-    splits a \r\n."""
-    while left > 0 and (chunk := fh.read(min(SCAN_BYTES, left))):
-        left -= len(chunk)
-        while chunk.endswith(b"\r") and left > 0 and (more := fh.read(1)):
-            chunk += more
-            left -= 1
-        yield chunk
 
 
 def _scan_lines(path: str | Path) -> np.ndarray | None:
     """One binary pass over a logits CSV: the byte offset at which each of its
-    lines starts, then its size, for the lines of str.splitlines(). None
-    unless the file is ASCII without \x1f. On such text np.loadtxt accepts a
-    subset of what int() and float() accept and gives the same values; it
-    strips \x1f as whitespace where float() rejects it, and misreads
-    non-ASCII digits."""
+    lines starts, then its size. None unless the file is ASCII without \x1f,
+    each of its lines ends in \n or \r\n (the last may end the file instead)
+    and is at least 3 bytes long, break included. On such text np.loadtxt
+    accepts a subset of what int() and float() accept and gives the same
+    values; it strips \x1f as whitespace where float() rejects it, and
+    misreads non-ASCII digits. A row needs 5 bytes, and the max_rows of
+    np.loadtxt does not count blank lines, so a shorter line goes to the
+    line parser."""
     if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe, say, can be opened and read only once
         return None
     starts = [np.zeros(1, dtype=np.int64)]  # of each line, and past a final break
     size = 0
     with open(path, "rb") as fh:
-        for chunk in _chunks(fh, os.fstat(fh.fileno()).st_size):
-            if not chunk.isascii() or b"\x1f" in chunk:
+        while chunk := fh.read(SCAN_BYTES):
+            if chunk.endswith(b"\r"):  # a \r\n split across reads is not a lone \r
+                chunk += fh.read(1)
+            if not chunk.isascii() or any(ch in chunk for ch in b"\x0b\x0c\x1c\x1d\x1e\x1f"):
                 return None
-            b = np.frombuffer(chunk, np.uint8)
-            ends = b == ord("\n")
-            # a \r ends a line unless a \n follows it; a piece ends with \r only
-            # at the end of the file
-            lone_cr = b"\r" in chunk and (b.take(np.flatnonzero(b == ord("\r")) + 1, mode="clip") != ord("\n")).any()
-            if lone_cr or any(ch in chunk for ch in b"\x0b\x0c\x1c\x1d\x1e"):
-                ends = _BREAKS.take(b)
-                ends[:-1] &= (b[:-1] != ord("\r")) | (b[1:] != ord("\n"))
-            starts.append(np.flatnonzero(ends) + (size + 1))
+            if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):  # a lone \r: a break the offsets miss
+                return None
+            starts.append(np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + (size + 1))
             size += len(chunk)
     starts = np.concatenate(starts)
-    return starts if starts[-1] == size else np.append(starts, size)
-
-
-def _lines(path: str | Path, start: int, end: int):
-    """An iterator over the lines of the bytes [start, end) of an ASCII file,
-    as str.splitlines() gives them; start and end are offsets from
-    _scan_lines. It takes each line from a list, as iter(list) does."""
-
-    def pieces():
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            carry = ""  # the start of a line that the next piece ends
-            for chunk in _chunks(fh, end - start):
-                text = carry + chunk.decode("ascii")
-                lines = text.splitlines()
-                carry = "" if text[-1] in _BREAK_CHARS else lines.pop()
-                yield lines
-            yield [carry] if carry else []
-
-    return itertools.chain.from_iterable(pieces())
+    starts = starts if starts[-1] == size else np.append(starts, size)
+    return None if (np.diff(starts) < 3).any() else starts
 
 
 # The fewest values (label cells included) worth a block of their own. Timed
@@ -212,16 +179,18 @@ def _parse_rows_fast(rows: tuple[str | Path, np.ndarray], c: int) -> Dataset | N
     non-finite logit (Dataset rejects the last three). rows is the file and
     the start of each of its data lines, then its size, from _scan_lines. A
     file of at least 2 * VALUES_PER_WORKER values is parsed in contiguous
-    blocks of lines, the items of workers.forked_items. Each block streams its
-    lines from the file through the same np.loadtxt call, so the values are
-    the same either way."""
+    blocks of lines, the items of workers.forked_items. Each block is read
+    from the file by the same np.loadtxt call, so the values are the same
+    either way."""
     path, starts = rows
     dtype = np.dtype([("label", np.int64), ("z", float, (c,))])
     n = starts.size - 1
     blocks = workers.worker_count(n, n * (c + 1), VALUES_PER_WORKER)
-    bounds = [starts[n * i // blocks] for i in range(blocks + 1)]
+    first = [n * i // blocks for i in range(blocks + 1)]  # the first line of each block, then n
     try:
-        parts = workers.forked_items(lambda i: _load_rows(_lines(path, bounds[i], bounds[i + 1]), dtype), blocks, blocks)
+        parts = workers.forked_items(
+            lambda i: _load_rows((path, starts[first[i]], first[i + 1] - first[i]), dtype), blocks, blocks
+        )
         # contiguous columns straight from the parts: no whole-file record array
         labels = np.concatenate([p["label"] for p in parts])
         logits = np.concatenate([p["z"] for p in parts])
@@ -231,10 +200,17 @@ def _parse_rows_fast(rows: tuple[str | Path, np.ndarray], c: int) -> Dataset | N
         return None
 
 
-def _load_rows(lines, dtype: np.dtype) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+def _load_rows(lines: tuple[str | Path, int, int], dtype: np.dtype) -> np.ndarray:
+    """np.loadtxt of lines: a file, the byte offset at which one of its lines
+    starts and how many lines to read from there."""
+    path, start, count = lines
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        # an open file, never a path: np.loadtxt would decompress a path
+        # ending in .gz, .bz2 or .xz and open a URL-like one
+        with io.TextIOWrapper(fh, encoding="ascii") as text, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            return np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1, max_rows=count)
 
 
 def _parse_rows(path: str | Path, lines: list[str], c: int) -> Dataset:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from calibkit import workers
 from calibkit.binning import fit_irm, fit_irova, fit_pbmc, pav
 from calibkit.cli import main
 from calibkit.core import Dataset, Predictions, softmax, sorted_topk_matrix
@@ -50,6 +51,12 @@ def hetero_test():
 def measured_ece(model, test, num_bins=10):
     preds = Predictions.from_probs(model.apply_probs(test.logits), test.labels)
     return ece(preds, num_bins)
+
+
+def on_every_cpu(fn, count):
+    """[fn(i) for i in range(count)] for independent fits, as items of the
+    forked-worker pool, which gives the serial results bit for bit."""
+    return workers.forked_items(fn, count, workers.worker_count(count, count, 1))
 
 
 def test_criterion_01_oracle_temperature_recovery():
@@ -117,10 +124,12 @@ def test_criterion_04_capacity_sweep(hetero_val, hetero_test):
     band = 0.003
     ts_ece = measured_ece(fit_ts(hetero_val), hetero_test)
     widths = [1, 2, 5, 10, 20]
-    eces = []
-    for w in widths:
-        cfg = PtsTrainConfig(hidden=(w, w), steps=20_000, learning_rate=1e-3, seed=42)
-        eces.append(measured_ece(fit_pts(hetero_val, cfg), hetero_test))
+
+    def width_ece(i):
+        cfg = PtsTrainConfig(hidden=(widths[i], widths[i]), steps=20_000, learning_rate=1e-3, seed=42)
+        return measured_ece(fit_pts(hetero_val, cfg), hetero_test)
+
+    eces = on_every_cpu(width_ece, len(widths))
     running_min = np.minimum.accumulate(eces)
     nonincreasing = all(e <= rm + band for e, rm in zip(eces, np.append(ts_ece, running_min[:-1])))
     plateau = abs(eces[-1] - eces[-2]) <= band
@@ -255,9 +264,8 @@ def test_criterion_10_loss_ablation(hetero_test):
     val = generate(SynthConfig(num_samples=2000, regime="heteroscedastic", seed=21))
     ets_mse = measured_ece(fit_ets(val, fit_ts(val), loss="mse"), hetero_test)
     ets_ece = measured_ece(fit_ets(val, fit_ts(val), loss="ece"), hetero_test)
-    cfg = PtsTrainConfig(steps=100_000, seed=SEED)
-    pts_ece = measured_ece(fit_pts(val, cfg), hetero_test)
-    pts_mse = measured_ece(fit_pts(val, PtsTrainConfig(steps=100_000, seed=SEED, loss="mse")), hetero_test)
+    configs = [PtsTrainConfig(steps=100_000, seed=SEED), PtsTrainConfig(steps=100_000, seed=SEED, loss="mse")]
+    pts_ece, pts_mse = on_every_cpu(lambda i: measured_ece(fit_pts(val, configs[i]), hetero_test), len(configs))
     ets_ok = abs(ets_mse - ets_ece) <= 0.003
     pts_ok = pts_ece <= pts_mse - 0.005
     ok = ets_ok and pts_ok

@@ -6,7 +6,9 @@ small files, and the last tests check that the forked block workers are
 always reaped and never forked beside another thread."""
 
 import os
+import re
 import signal
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -83,12 +85,26 @@ def _crlf_across_reads():
     return text
 
 
+def _lone_cr_ending_the_first_read():
+    """A file whose last byte of the scan's first read is a lone \r."""
+    header, last = "label,z0,z1\n", "1,-0.5,3\n"
+    end = io_files.SCAN_BYTES
+    first = "0,0.5" + "0" * (end - len(header) - len("0,0.5,2\r")) + ",2\r"
+    text = header + first + last
+    assert text[end - 1 : end + 1] == "\r1"
+    return text
+
+
 FIXED_CASES = {
     "crlf": "label,z0,z1\r\n0,1.5,2.5\r\n1,-0.5,3\r\n",
     "lone_cr": "label,z0,z1\r0,1.5,2.5\r1,-0.5,3\r",
     "lf_and_crlf": "label,z0,z1\n0,1.5,2.5\r\n1,-0.5,3\n0,2,1\r\n1,0,0",
     "header_only_crlf": "label,z0,z1\r\n",
     "crlf_across_reads": _crlf_across_reads(),
+    "crlf_blank_line": "label,z0,z1\r\n0,1.5,2.5\r\n\r\n1,-0.5,3\r\n",
+    "crlf_ending_in_a_blank_line": "label,z0,z1\r\n0,1.5,2.5\r\n1,-0.5,3\r\n\r\n",
+    "two_byte_row": "label,z0,z1\n0,1.5,2.5\n7\n1,-0.5,3\n",
+    "lone_cr_ending_the_first_read": _lone_cr_ending_the_first_read(),
     "form_feed_breaks_a_row": "label,z0,z1\n0,1.5,2.5\x0c1,0.5,1\n",
     "file_separator_breaks_a_row": "label,z0,z1\n0,1.5,2.5\x1c1,0.5,1\n",
     "group_separator_breaks_a_row": "label,z0,z1\n0,1.5,2.5\x1d1,0.5,1\n",
@@ -186,13 +202,16 @@ def _csv_texts(st):
 
 
 def agree_on_arbitrary_csv(tmp_path, c_parsable_only=False):
-    """The property on 400 drawn texts; c_parsable_only drops the characters
-    that send a whole file to the line parser (non-ASCII and \x1f)."""
+    """The property on 400 drawn texts; c_parsable_only drops what sends a
+    whole file to the line parser: non-ASCII, \x1f, line breaks other than
+    \n and \r\n (made \n) and blank lines (given a row)."""
     hypothesis = pytest.importorskip("hypothesis")
     path = tmp_path / "logits.csv"
     texts = _csv_texts(hypothesis.strategies)
     if c_parsable_only:
         texts = texts.map(lambda t: t.encode("ascii", "ignore").decode().replace("\x1f", ""))
+        texts = texts.map(lambda t: re.sub(r"\r(?!\n)|[\x0b\x0c\x1c-\x1e]", "\n", t))
+        texts = texts.map(lambda t: re.sub(r"^(?=.?\r?\n)", "0,0", t, flags=re.M))
 
     @hypothesis.settings(max_examples=400, deadline=None)
     @hypothesis.given(texts)
@@ -218,9 +237,9 @@ def _no_fallback(*args):
     raise AssertionError("read_logits fell back to the line parser")
 
 
-def assert_fast_path(tmp_path, monkeypatch, rows, line_end):
+def assert_fast_path(tmp_path, monkeypatch, rows, line_end, name="logits.csv"):
     ds = generate(SynthConfig(num_samples=rows, regime="heteroscedastic", seed=rows))
-    path = tmp_path / "logits.csv"
+    path = tmp_path / name
     write_logits(ds, path)
     if line_end != "\n":
         path.write_bytes(path.read_bytes().replace(b"\n", line_end.encode()))
@@ -243,6 +262,35 @@ def test_canonical_files_take_the_fast_path_in_blocks(tmp_path, monkeypatch, row
     forks = force_blocks(monkeypatch, cpus=3)
     assert_fast_path(tmp_path, monkeypatch, rows, line_end)
     assert len(forks) == min(3, rows) - 1
+    assert_no_child_left()
+
+
+def test_a_crlf_across_the_scan_reads_takes_the_fast_path(tmp_path, monkeypatch):
+    path = tmp_path / "logits.csv"
+    path.write_bytes(FIXED_CASES["crlf_across_reads"].encode())
+    monkeypatch.setattr(io_files, "_parse_rows", _no_fallback)
+    assert read_logits(path).labels.tolist() == [0, 1, 1]
+
+
+def test_a_file_named_like_a_compressed_one_is_read_as_text(tmp_path, monkeypatch):
+    """np.loadtxt gets an open file, never the path, which it would
+    decompress by its suffix."""
+    assert_fast_path(tmp_path, monkeypatch, 2_000, "\n", name="logits.csv.gz")
+
+
+def test_a_read_in_blocks_writes_nothing_to_stderr(tmp_path, monkeypatch, capfd):
+    """Workers run with warnings as errors, so a file left open in one, a
+    ResourceWarning, would print an "Exception ignored" line."""
+    ds = generate(SynthConfig(num_samples=50, regime="heteroscedastic", seed=10))
+    path = tmp_path / "logits.csv"
+    write_logits(ds, path)
+    forks = force_blocks(monkeypatch, cpus=3)
+    # print what cannot be raised, as a command does; pytest's hook keeps it
+    monkeypatch.setattr(sys, "unraisablehook", sys.__unraisablehook__)
+    capfd.readouterr()
+    assert read_logits(path).logits.tobytes() == ds.logits.tobytes()
+    assert forks == [1, 1]
+    assert capfd.readouterr().err == ""
     assert_no_child_left()
 
 
