@@ -15,16 +15,7 @@ from . import experiments
 from .core import Predictions
 from .errors import DataFormatError, NumericalError
 from .metrics import KDE_MIN_SAMPLES
-from .io_files import (
-    _fmt,
-    _fmt_column,
-    canonical_json,
-    load_model,
-    read_logits,
-    save_model,
-    write_json,
-    write_text_atomic,
-)
+from .io_files import canonical_json, csv_text, load_model, read_logits, save_model, write_json, write_text_atomic
 from .scaling import LOSSES, PtsTrainConfig
 
 EXIT_OK = 0
@@ -43,14 +34,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_at_least(text: str, low: int = 1) -> int:
+def _int_at_least(text: str, low: int = 1, high: float = math.inf) -> int:
     try:
         value = int(text)
-        if value >= low:
+        if low <= value <= high:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    bounds = f">= {low}" if high == math.inf else f"from {low} to {high:.17g}"
+    raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
 
 
 def _positive_float(text: str) -> float:
@@ -63,11 +55,28 @@ def _positive_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
 
 
-def _int_list(text: str) -> list[int]:
-    values = [_int_at_least(v) for v in text.split(",") if v]
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated list of positive integers, got {text!r}")
+def _distinct(values: list, text: str) -> list:
+    """The rule of every list flag: at least one value, and none given twice."""
+    if not values or len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of distinct values, got {text!r}")
     return values
+
+
+def _comma_list(item):
+    """The type of a list flag: item(value) of each of its comma-separated values, skipping empty ones."""
+    return lambda text: _distinct([item(v) for v in text.split(",") if v], text)
+
+
+def _names(known, what: str):
+    """The type of a list flag of names, each one of known."""
+
+    def names(text: str) -> list[str]:
+        values = _comma_list(str)(text)
+        if unknown := [v for v in values if v not in known]:
+            raise argparse.ArgumentTypeError(f"unknown {what}: {', '.join(unknown)} (expected one of {', '.join(known)})")
+        return values
+
+    return names
 
 
 def _fraction_list(text: str) -> list[float]:
@@ -86,34 +95,32 @@ def _fraction_list(text: str) -> list[float]:
         values = []
     n = experiments.EXPERIMENT_VAL_SIZE
     if values and all(0.0 < v <= 1.0 and round(v * n) >= 1 for v in values):
-        return values
+        return _distinct(values, text)
     raise argparse.ArgumentTypeError(f"expected fractions in (0, 1] keeping one of {n} validation rows, got {text!r}")
-
-
-def _str_list(text: str) -> list[str]:
-    values = [v for v in text.split(",") if v]
-    if not values or len(set(values)) < len(values):
-        raise argparse.ArgumentTypeError(f"expected a comma-separated list of distinct names, got {text!r}")
-    return values
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="calibkit", description="Post-hoc uncertainty calibration toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a PTS model file holds its seed, and every number of a model file is a finite double
+    seed = lambda text: _int_at_least(text, 0, sys.float_info.max)
+    int_list = _comma_list(_int_at_least)
+    methods = _names(experiments.CALIBRATORS, "calibrator kind(s)")
+    losses = _names(LOSSES, "training loss(es)")
 
     def add_train_flags(p):
-        p.add_argument("--seed", type=lambda text: _int_at_least(text, 0), default=PtsTrainConfig.seed)
-        p.add_argument("--bins", type=_int_list, default=[PtsTrainConfig.num_bins], help="comma list of bin counts")
+        p.add_argument("--seed", type=seed, default=PtsTrainConfig.seed)
+        p.add_argument("--bins", type=int_list, default=[PtsTrainConfig.num_bins], help="comma list of bin counts")
         p.add_argument("--steps", type=_int_at_least, default=PtsTrainConfig.steps)
         p.add_argument("--batch-size", type=_int_at_least, default=PtsTrainConfig.batch_size)
         p.add_argument("--lr", dest="learning_rate", type=_positive_float, default=PtsTrainConfig.learning_rate)
         p.add_argument("--topk", type=_int_at_least, default=PtsTrainConfig.topk)
 
     p_fit = sub.add_parser("fit", help="fit one calibrator and write a model file")
-    p_fit.add_argument("--method", required=True)
+    p_fit.add_argument("--method", required=True, choices=experiments.CALIBRATORS)
     p_fit.add_argument("--val", required=True)
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--losses", type=_str_list, default=None, help="training loss (single value)")
+    p_fit.add_argument("--losses", type=losses, default=None, help="training loss (single value)")
     add_train_flags(p_fit)
 
     p_apply = sub.add_parser("apply", help="apply a model file, write calibrated confidences CSV")
@@ -125,10 +132,10 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--test", required=True)
     p_eval.add_argument("--out", default=None)
-    p_eval.add_argument("--bins", type=_int_list, default=[10])
+    p_eval.add_argument("--bins", type=int_list, default=[10])
 
     p_cmp = sub.add_parser("compare", help="fit many calibrators on val, evaluate all on test")
-    p_cmp.add_argument("--methods", type=_str_list, required=True)
+    p_cmp.add_argument("--methods", type=methods, required=True)
     p_cmp.add_argument("--val", required=True)
     p_cmp.add_argument("--test", required=True)
     p_cmp.add_argument("--out", default=None)
@@ -138,10 +145,10 @@ def build_parser() -> _Parser:
     p_exp = sub.add_parser("experiment", help="run a synthetic-oracle experiment")
     p_exp.add_argument("name", choices=experiments.EXPERIMENTS)
     p_exp.add_argument("--out", required=True, help="output directory for CSV + JSON tables")
-    p_exp.add_argument("--widths", type=_int_list)
+    p_exp.add_argument("--widths", type=int_list)
     p_exp.add_argument("--fractions", type=_fraction_list)
-    p_exp.add_argument("--losses", type=_str_list)
-    p_exp.add_argument("--methods", type=_str_list)
+    p_exp.add_argument("--losses", type=losses)
+    p_exp.add_argument("--methods", type=methods)
     add_train_flags(p_exp)
     p_exp.set_defaults(bins=None, steps=20_000)  # bins: the experiment's own default unless given
 
@@ -162,32 +169,7 @@ def _emit_report(report: dict, out: str | None) -> None:
         sys.stdout.write(canonical_json(report) + "\n")
 
 
-def _write_rows_csv(rows: list[dict], path: Path) -> None:
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in (row[h] for h in header)))
-    write_text_atomic("\n".join(lines) + "\n", path)
-
-
-def _check_methods(methods) -> None:
-    unknown = [m for m in methods if m not in experiments.CALIBRATORS]
-    if unknown:
-        raise UsageError(f"unknown calibrator kind(s): {', '.join(unknown)}")
-
-
-def _check_losses(losses: list[str] | None) -> None:
-    """ETS and PTS train only on the losses in scaling.LOSSES."""
-    bad = [loss for loss in losses or () if loss not in LOSSES]
-    if bad:
-        expected = " or ".join(LOSSES)
-        raise UsageError(f"unknown training loss(es) for ets and pts: {', '.join(bad)} (expected {expected})")
-
-
 def cmd_fit(args) -> int:
-    _check_methods([args.method])
-    if args.method in experiments.LOSS_METHODS:
-        _check_losses(args.losses)
     if len(args.losses or ()) > 1:
         raise UsageError(f"fit takes one training loss, got {len(args.losses)}: {','.join(args.losses)}")
     loss = args.losses[0] if args.losses else None
@@ -203,8 +185,7 @@ def cmd_apply(args) -> int:
     probs = model.apply_probs(test.logits)
     preds = Predictions.from_probs(probs, test.labels)
     del probs, test  # the (N, C) arrays: free them before the text is built
-    rows = map(",".join, zip(map(str, preds.predicted_class.tolist()), _fmt_column(preds.confidence)))
-    write_text_atomic("\n".join(["predicted_class,confidence", *rows]) + "\n", args.out)
+    write_text_atomic(csv_text(["predicted_class", "confidence"], [preds.predicted_class, preds.confidence]), args.out)
     return EXIT_OK
 
 
@@ -233,7 +214,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_methods(args.methods)
     val = read_logits(args.val)
     test = _read_test(args)
     if test.num_classes != val.num_classes:
@@ -245,14 +225,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    _check_methods(args.methods or ())
-    _check_losses(args.losses)  # whatever the methods: the loss ablation labels each row with its loss
     flags = ("widths", "bins", "fractions", "methods", "losses")
     given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # before the fits, so that a bad --out costs nothing
     rows = experiments.EXPERIMENTS[args.name](PtsTrainConfig(**_train_settings(args)), **given)
-    _write_rows_csv(rows, out_dir / f"{args.name}.csv")
+    header = list(rows[0])
+    write_text_atomic(csv_text(header, [[row[key] for row in rows] for key in header]), out_dir / f"{args.name}.csv")
     write_json({"experiment": args.name, "seed": args.seed, "rows": rows}, out_dir / f"{args.name}.json")
     return EXIT_OK
 
@@ -280,12 +259,14 @@ def main(argv: list[str] | None = None) -> int:
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        except MemoryError as exc:  # a size flag, such as --batch-size, too large to allocate
-            print(f"error: out of memory: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         except (DataFormatError, OSError) as exc:  # a file that cannot be read or written
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
+        except (MemoryError, ValueError) as exc:  # a size flag, such as --batch-size, too large to allocate
+            if isinstance(exc, ValueError) and not str(exc).startswith(("array is too big", "Maximum allowed")):
+                raise  # not numpy's refusal of a size that no array can have
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         except NumericalError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL

@@ -75,28 +75,32 @@ def write_text_atomic(text: str, path: str | Path) -> None:
     tmp = path.parent / f"{path.name}{os.urandom(6).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     except OSError as exc:  # name the path asked for, not the temporary file
         raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_json(obj: Any, path: str | Path) -> None:
     write_text_atomic(canonical_json(obj) + "\n", path)
 
 
+def csv_text(header: list[str], columns: list) -> str:
+    """A CSV file's text: the header line, then one line per row of the
+    columns. A column of reals prints through _fmt_column, any other through str."""
+    cells = [_fmt_column(c) if c.dtype.kind == "f" else map(str, c.tolist()) for c in map(np.asarray, columns)]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
 def write_logits(dataset: Dataset, path: str | Path) -> None:
-    c = dataset.num_classes
-    cells = _fmt_column(dataset.logits)
-    rows = map(",".join, zip(map(str, dataset.labels.tolist()), *(cells[j::c] for j in range(c))))
-    header = "label," + ",".join(f"z{i}" for i in range(c))
-    write_text_atomic("\n".join([header, *rows]) + "\n", path)
+    header = ["label", *(f"z{i}" for i in range(dataset.num_classes))]
+    write_text_atomic(csv_text(header, [dataset.labels, *dataset.logits.T]), path)
 
 
 def read_logits(path: str | Path) -> Dataset:

@@ -22,6 +22,10 @@ CONTRACT = settings(
     derandomize=True, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow]
 )
 KINDS = sorted(experiments.CALIBRATORS)
+# sizes that numpy rejects before it allocates anything: beyond its largest
+# dimension, and an array of more bytes than it can count
+NUMPY_CANNOT_SIZE = str(10**20)
+TOO_BIG_FOR_NUMPY = str(2**62)
 
 
 def run_cli(argv: list[str]) -> tuple[object, str, str]:
@@ -80,14 +84,14 @@ def flag_values(files):
         "--model": models,
         "--out": st.sampled_from(["out", "out", "missing", "dir"]).map(files.get),
         "--losses": st.sampled_from(["mse", "ece", "mse,ece", "ece,nll", "nll", ""]),
-        "--seed": st.sampled_from(["0", "17", "-1", "x", "123456789012345678901234567890"]),
-        "--bins": st.sampled_from(["10", "5,15", "1", "30", "0", "-3", ",", "x"]),
+        "--seed": st.sampled_from(["0", "17", "-1", "x", "123456789012345678901234567890", "9" * 400]),
+        "--bins": st.sampled_from(["10", "5,15", "1", "30", "0", "-3", ",", "x", "5,5", NUMPY_CANNOT_SIZE]),
         "--steps": st.sampled_from(["1", "3", "0", "-1", "1e3"]),
-        "--batch-size": st.sampled_from(["1", "64", "0", "x"]),
+        "--batch-size": st.sampled_from(["1", "64", "0", "x", TOO_BIG_FOR_NUMPY]),
         "--lr": st.sampled_from(["1e-3", "0", "-1", "nan", "inf", "x"]),
-        "--topk": st.sampled_from(["1", "3", "10", "12", "0"]),
-        "--widths": st.sampled_from(["1", "2,3", "0", "x"]),
-        "--fractions": st.sampled_from(["1", "0.5,1", "0.1:1:0.45", "0.001", "0", "1.5", "1:0:0", "x"]),
+        "--topk": st.sampled_from(["1", "3", "10", "12", "0", NUMPY_CANNOT_SIZE]),
+        "--widths": st.sampled_from(["1", "2,3", "0", "x", "2,2", NUMPY_CANNOT_SIZE]),
+        "--fractions": st.sampled_from(["1", "0.5,1", "0.1:1:0.45", "0.001", "0", "1.5", "1:0:0", "x", "1,1"]),
     }
 
 
@@ -221,12 +225,38 @@ def test_cli_contract_on_drawn_model_json(files, data, command, encoding):
         ["compare", "--methods", "ts,irm,ts", "--timings"],
         ["experiment", "loss_ablation", "--methods", "ets,histbin", "--losses", "mse,ece,mse"],
         ["experiment", "data_efficiency", "--methods", "irm,irm"],
+        ["eval", "--model", "ts", "--bins", "10,10"],
+        ["experiment", "capacity", "--widths", "2,2"],
+        ["experiment", "data_efficiency", "--fractions", "0.5,0.50"],
+        ["experiment", "data_efficiency", "--fractions", "0.5:0.5000000000001:1e-15"],
     ],
 )
 def test_a_name_given_twice_is_a_usage_error(files, argv):
     """A repeated method would be fitted twice into one report block, and a
-    repeated loss twice into one table row."""
+    repeated loss twice into one table row; a repeated bin count would write
+    one ECE key for two bins, and a repeated width or fraction would fit one
+    network twice. A range whose values round to one fraction repeats it too."""
+    argv = [files.get(v, v) for v in argv]  # "ts": the TS model file
     files_flags = ["--val", files["val"], "--test", files["test"]] if argv[0] == "compare" else []
-    code, out, err = run_cli(argv + files_flags + ["--out", files["out"], "--steps", "2"])
+    files_flags += ["--test", files["test"]] if argv[0] == "eval" else ["--steps", "2"]
+    code, out, err = run_cli(argv + files_flags + ["--out", files["out"]])
     assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1 and "distinct names" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "distinct values" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--method", "pts", "--topk", NUMPY_CANNOT_SIZE],
+        ["fit", "--method", "pts", "--batch-size", TOO_BIG_FOR_NUMPY],
+        ["fit", "--method", "ets", "--losses", "ece", "--bins", NUMPY_CANNOT_SIZE],
+        ["experiment", "capacity", "--widths", NUMPY_CANNOT_SIZE],
+        ["experiment", "capacity", "--widths", TOO_BIG_FOR_NUMPY],
+    ],
+    ids=" ".join,
+)
+def test_a_size_that_numpy_cannot_size_is_out_of_memory(files, argv):
+    paths = ["--val", files["val"], "--out", files["out"]] if argv[0] == "fit" else ["--out", f"{files['dir']}/exp"]
+    code, out, err = run_cli(argv + paths + ["--steps", "2"])
+    assert code == 1
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err

@@ -1,9 +1,11 @@
+import errno
 import functools
 import hashlib
 import json
 import operator
 import os
 import stat
+import sys
 import warnings
 from dataclasses import replace
 
@@ -566,7 +568,7 @@ def test_cli_rejects_an_unknown_training_loss(tmp_path, capsys, argv):
     val, _ = write_sets(tmp_path, n=50)
     paths = ["--val", val, "--out", str(tmp_path / "m.json")] if argv[0] == "fit" else ["--out", str(tmp_path / "exp")]
     assert main(argv + paths) == 1
-    assert one_error_line(capsys, "error: unknown training loss(es) for ets and pts: ")
+    assert one_error_line(capsys, "error: argument --losses: unknown training loss(es): ")
     assert not (tmp_path / "m.json").exists() and not (tmp_path / "exp").exists()
 
 
@@ -580,8 +582,26 @@ def test_cli_fit_rejects_more_than_one_loss(tmp_path, capsys, method):
 
 
 def test_cli_fit_ignores_losses_for_methods_without_one(tmp_path):
+    """A method without a training loss ignores a known one; an unknown loss is a usage error for every method."""
     val, _ = write_sets(tmp_path, n=50)
-    assert main(["fit", "--method", "ts", "--val", val, "--out", str(tmp_path / "m.json"), "--losses", "nll"]) == 0
+    assert main(["fit", "--method", "ts", "--val", val, "--out", str(tmp_path / "m.json"), "--losses", "ece"]) == 0
+    assert main(["fit", "--method", "ts", "--val", val, "--out", str(tmp_path / "n.json"), "--losses", "nll"]) == 1
+    assert not (tmp_path / "n.json").exists()
+
+
+def test_cli_the_largest_seed_fits_a_pts_model_that_applies(tmp_path, capsys):
+    """A PTS model file holds its seed, and a model file holds only finite
+    doubles: the largest seed is the largest double."""
+    val, test = write_sets(tmp_path, n=50)
+    model, out = str(tmp_path / "m.json"), str(tmp_path / "conf.csv")
+    largest = int(sys.float_info.max)
+    fit = ["fit", "--method", "pts", "--val", val, "--out", model, "--steps", "2", "--seed"]
+    assert main([*fit, str(largest)]) == 0
+    assert main(["apply", "--model", model, "--test", test, "--out", out]) == 0
+    os.unlink(model)
+    assert main([*fit, str(largest + 1)]) == 1
+    assert one_error_line(capsys, "error: argument --seed: expected an integer from 0 to 1.7976931348623157e+308, got ")
+    assert not os.path.exists(model)
 
 
 def _pts_input_width_5(doc):
@@ -1104,6 +1124,16 @@ def test_cli_out_in_a_missing_directory_names_the_given_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("data error: ")
     assert err.rstrip().endswith(f"'{out}'") and ".tmp" not in err
+
+
+def test_cli_out_on_a_directory_names_the_given_path(tmp_path, capsys):
+    """The rename over a directory fails; its message names --out, not the temporary file."""
+    val, _ = write_sets(tmp_path, n=50)
+    out = tmp_path / "dir"
+    out.mkdir()
+    assert main(["fit", "--method", "ts", "--val", val, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "test.csv", "val.csv"]  # no temporary file left
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

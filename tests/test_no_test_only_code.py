@@ -107,3 +107,18 @@ def test_every_defaulted_dataclass_field_is_set_outside_the_tests():
         if has_default and not {(cls, name), (cls, "*"), ("*", name)} & set_fields
     ]
     assert unset == []
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    """cli.py is the package's outermost user: it imports no _-prefixed name
+    from another calibkit module, and reads none off an imported module."""
+    tree = ast.parse((ROOT / "src" / "calibkit" / "cli.py").read_text())
+    own = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and (n.level or n.module.startswith("calibkit"))]
+    modules = {a.asname or a.name for n in own for a in n.names if n.module is None}  # from . import experiments
+    private = [f"import {a.name}" for n in own for a in n.names if a.name.startswith("_")]
+    private += [
+        f"{n.value.id}.{n.attr}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules and n.attr.startswith("_")
+    ]
+    assert private == []
